@@ -10,8 +10,7 @@
 //! GA-generation granularity, the parallel executor's thread scaling, and
 //! the database layer at scale: point queries/gathers (`db_query`) and
 //! row/shard scans (`db_shard_scan`) on a 1k-machine catalog, dense vs
-//! sharded, plus the serving layer: pool-fanned sharded gathers
-//! (`db_gather_par`), the batched ranking-query front end
+//! sharded, plus the serving layer: the batched ranking-query front end
 //! (`query_batch`), dense vs sharded-with-pruning, the versioned result
 //! cache cold vs warm (`serve_cache`), streaming machine ingest with
 //! tail-shard splitting (`db_ingest`), bootstrap rank-confidence
@@ -31,9 +30,7 @@ use datatrans_core::serve::{
     serve_batch, serve_batch_cached, AppOfInterest, ApproxConfig, ConfidenceConfig, ModelKind,
     RankRequest, ServeConfig,
 };
-use datatrans_dataset::generator::{
-    generate, generate_scaled, synthesize_ingest, DatasetConfig, NoiseConfig, ScaleConfig,
-};
+use datatrans_dataset::generator::{generate, synthesize_ingest, DatasetConfig, NoiseConfig};
 use datatrans_dataset::machine::ProcessorFamily;
 use datatrans_dataset::query::MachineFilter;
 use datatrans_dataset::sharded::ShardedPerfDatabase;
@@ -483,10 +480,8 @@ fn bench_parallel_scaling(c: &mut Criterion) {
 }
 
 /// Point queries and gathers against the 1k-machine scale catalog, dense
-/// vs sharded (8 shards) vs the per-worker shard-cursor handle. Lookups
-/// return the same stored `f64` on every backing; the groups measure the
-/// cost of the shard indirection and what the cursor buys back on the
-/// range-local access patterns the harnesses actually have.
+/// vs sharded (8 shards). Lookups return the same stored `f64` on both
+/// backings; the group measures the cost of the shard indirection.
 fn bench_db_query(c: &mut Criterion) {
     let dense = bench_scaled_database();
     let sharded = bench_sharded_database(&dense);
@@ -503,12 +498,7 @@ fn bench_db_query(c: &mut Criterion) {
             )
         })
         .collect();
-    // Range-local probe sequence: sweep one family's contiguous columns —
-    // the access shape of a family-fold worker.
     let xeon = DatabaseView::machines_in_family(&dense, ProcessorFamily::Xeon);
-    let local_probes: Vec<(usize, usize)> = (0..4096)
-        .map(|i| ((i * 7) % n_benchmarks, xeon[i % xeon.len()]))
-        .collect();
 
     let mut group = c.benchmark_group("db_query");
     group.sample_size(30);
@@ -524,13 +514,6 @@ fn bench_db_query(c: &mut Criterion) {
                 .iter()
                 .map(|&(b, m)| DatabaseView::score(&sharded, b, m))
                 .sum();
-            std::hint::black_box(sum)
-        })
-    });
-    group.bench_function("score_reader_local_1k", |bch| {
-        bch.iter(|| {
-            let reader = sharded.reader();
-            let sum: f64 = local_probes.iter().map(|&(b, m)| reader.score(b, m)).sum();
             std::hint::black_box(sum)
         })
     });
@@ -608,49 +591,6 @@ fn bench_db_shard_scan(c: &mut Criterion) {
             std::hint::black_box(sum)
         })
     });
-    group.finish();
-}
-
-/// The sharded gather's pool-fanned row-chunk copies against the inline
-/// loop, on a tall (128-benchmark × 1k-machine) catalog where a gather
-/// has enough rows to distribute. Each sample times a 16-gather burst so
-/// per-dispatch scheduler jitter amortizes (the single-gather numbers are
-/// too bimodal to gate on a busy single-core box). Like the other pooled
-/// groups, the parallel variants only win on multi-core hardware.
-fn bench_db_gather_par(c: &mut Criterion) {
-    const BURST: usize = 16;
-    let dense = generate_scaled(&ScaleConfig {
-        n_benchmarks: 128,
-        ..ScaleConfig::default()
-    })
-    .expect("tall scale dataset generates");
-    let sequential = bench_sharded_database(&dense);
-    let pooled = ShardedPerfDatabase::from_dense(&dense, 8)
-        .expect("8 shards")
-        .with_parallelism(Parallelism::Threads(4));
-    let rows: Vec<usize> = (0..dense.n_benchmarks()).collect();
-    let family = DatabaseView::machines_in_family(&dense, ProcessorFamily::Xeon);
-    let scattered: Vec<usize> = (0..dense.n_machines()).step_by(7).collect();
-
-    let mut group = c.benchmark_group("db_gather_par");
-    group.sample_size(30);
-    let variants: [(&str, &ShardedPerfDatabase, &[usize]); 4] = [
-        ("family_seq8_128x1k_x16", &sequential, &family),
-        ("family_pool4_128x1k_x16", &pooled, &family),
-        ("scattered_seq8_128x1k_x16", &sequential, &scattered),
-        ("scattered_pool4_128x1k_x16", &pooled, &scattered),
-    ];
-    for (name, db, cols) in variants {
-        group.bench_function(name, |bch| {
-            bch.iter(|| {
-                let mut total = 0usize;
-                for _ in 0..BURST {
-                    total += DatabaseView::gather(db, &rows, cols).rows();
-                }
-                std::hint::black_box(total)
-            })
-        });
-    }
     group.finish();
 }
 
@@ -993,7 +933,6 @@ criterion_group!(
     bench_parallel_scaling,
     bench_db_query,
     bench_db_shard_scan,
-    bench_db_gather_par,
     bench_query_batch,
     bench_serve_cache,
     bench_db_ingest,

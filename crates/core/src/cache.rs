@@ -115,11 +115,12 @@ impl ResultCache {
     /// Looks up a fingerprint, returning a clone of the stored response on
     /// a hit and recording the hit or miss in the counters.
     ///
-    /// On a hit the full stored request is debug-asserted equal to
-    /// `request`: a 64-bit fingerprint collision between distinct requests
-    /// is astronomically unlikely but not impossible, and this guard turns
-    /// one into a loud test failure instead of a silently wrong response
-    /// in debug builds (test suites and CI run them).
+    /// A hit also requires the stored request to equal `request`, in every
+    /// build: a 64-bit fingerprint collision between distinct requests is
+    /// astronomically unlikely but not impossible, and it must cost a hit,
+    /// never serve another request's ranking. A mismatch counts as a miss,
+    /// and the next [`ResultCache::insert`] under that fingerprint replaces
+    /// the resident entry.
     pub fn lookup(
         &mut self,
         fingerprint: RequestFingerprint,
@@ -127,16 +128,12 @@ impl ResultCache {
     ) -> Option<RankResponse> {
         self.tick += 1;
         match self.entries.get_mut(&fingerprint.as_u64()) {
-            Some(entry) => {
-                debug_assert!(
-                    entry.request == *request,
-                    "fingerprint collision: distinct requests share {fingerprint:?}"
-                );
+            Some(entry) if entry.request == *request => {
                 entry.last_used = self.tick;
                 self.stats.hits += 1;
                 Some(entry.response.clone())
             }
-            None => {
+            _ => {
                 self.stats.misses += 1;
                 None
             }
@@ -220,6 +217,29 @@ mod tests {
                 invalidations: 0
             }
         );
+    }
+
+    #[test]
+    fn fingerprint_collision_is_a_miss_and_the_next_insert_replaces() {
+        let mut cache = ResultCache::new(4);
+        cache.sync_version(0);
+        let (a, b) = (request(1), request(2));
+        // Simulate a collision: B looked up under A's fingerprint.
+        let fp = RequestFingerprint::of(&a);
+        cache.insert(fp, &a, &response(1.0));
+        assert_eq!(cache.lookup(fp, &b), None);
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 1,
+                invalidations: 0
+            }
+        );
+        cache.insert(fp, &b, &response(2.0));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lookup(fp, &b), Some(response(2.0)));
+        assert_eq!(cache.lookup(fp, &a), None);
     }
 
     #[test]

@@ -46,13 +46,11 @@ impl Default for FamilyCvConfig {
 /// evaluation following Figure 5: the target family's machines and the
 /// application's row are withheld from training.
 ///
-/// Generic over the database backing ([`DatabaseView`]). Each worker of
-/// the fold fan-out reads through its own per-worker handle
-/// ([`DatabaseView::reader`]), so workers never contend on shared lookup
-/// state; on a sharded backing a fold's *target* family occupies a
-/// contiguous machine range (shard-local reads), while the predictive
-/// gather necessarily spans the remaining shards. The report is
-/// bitwise-identical across backings and thread counts.
+/// Generic over the database backing ([`DatabaseView`]): on a sharded
+/// backing a fold's *target* family occupies a contiguous machine range
+/// (shard-local reads), while the predictive gather necessarily spans the
+/// remaining shards. The report is bitwise-identical across backings and
+/// thread counts.
 ///
 /// # Errors
 ///
@@ -82,14 +80,14 @@ pub fn family_cross_validation<D: DatabaseView + ?Sized>(
         return Err(CoreError::invalid_task("no methods to evaluate"));
     }
 
-    let run_fold = |view: &dyn DatabaseView, family: ProcessorFamily| -> Result<Vec<CvCell>> {
-        let targets = view.machines_in_family(family);
+    let run_fold = |&family: &ProcessorFamily| -> Result<Vec<CvCell>> {
+        let targets = db.machines_in_family(family);
         if targets.is_empty() {
             return Err(CoreError::invalid_task(format!(
                 "family {family} has no machines"
             )));
         }
-        let predictive: Vec<usize> = (0..view.n_machines())
+        let predictive: Vec<usize> = (0..db.n_machines())
             .filter(|m| !targets.contains(m))
             .collect();
         let mut cells = Vec::with_capacity(apps.len() * methods.len());
@@ -99,14 +97,14 @@ pub fn family_cross_validation<D: DatabaseView + ?Sized>(
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add((family as u64) << 16)
                 .wrapping_add(app as u64);
-            let task = PredictionTask::leave_one_out(view, app, &predictive, &targets, seed)?;
-            let actual = PredictionTask::actual_scores(view, app, &targets);
+            let task = PredictionTask::leave_one_out(db, app, &predictive, &targets, seed)?;
+            let actual = PredictionTask::actual_scores(db, app, &targets);
             for method in methods {
                 let predicted = method.predict(&task)?;
                 let metrics = EvalMetrics::compute(&predicted, &actual)?;
                 cells.push(CvCell {
                     fold: family.to_string(),
-                    app: view.benchmarks()[app].name.clone(),
+                    app: db.benchmarks()[app].name.clone(),
                     method: method.name().to_owned(),
                     metrics,
                 });
@@ -115,19 +113,10 @@ pub fn family_cross_validation<D: DatabaseView + ?Sized>(
         Ok(cells)
     };
 
-    // Each worker reads through its own handle: on a sharded backing the
-    // handle caches the shard serving the last lookup (a fold's target
-    // family is one contiguous machine range, so target-side reads stay
-    // shard-local; the predictive gather still spans the other shards).
-    // Handles never hold result state, so the merged report is
-    // bitwise-identical to the sequential run.
+    // The executor merges fold results back in input order, so the report
+    // is bitwise-identical to the sequential run.
     let mut report = CvReport::default();
-    let results: Vec<Result<Vec<CvCell>>> = config.parallelism.par_map_with(
-        2,
-        &families,
-        || db.reader(),
-        |reader, &family| run_fold(reader, family),
-    );
+    let results: Vec<Result<Vec<CvCell>>> = config.parallelism.par_map(2, &families, run_fold);
     for r in results {
         report.cells.extend(r?);
     }

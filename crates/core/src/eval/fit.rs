@@ -64,8 +64,7 @@ pub struct FitCurvePoint {
 
 /// Sweeps the goodness-of-fit curve with MLPᵀ.
 ///
-/// Generic over the database backing ([`DatabaseView`]); random-draw
-/// workers read through per-worker handles, and the curve is
+/// Generic over the database backing ([`DatabaseView`]); the curve is
 /// bitwise-identical across backings and thread counts.
 ///
 /// # Errors
@@ -114,32 +113,29 @@ pub fn goodness_of_fit_curve<D: DatabaseView + ?Sized>(
         )?;
 
         // Each trial derives its own seed, so the draws fan out across the
-        // executor (each worker reading through its own handle); summing
-        // the collected values in trial order keeps the float accumulation
-        // identical to the sequential loop.
-        let trial_r2s: Vec<Result<f64>> = config.parallelism.par_map_indexed_with(
-            2,
-            config.random_trials,
-            || db.reader(),
-            |reader, trial| {
-                let draw_seed = config
-                    .seed
-                    .wrapping_mul(0x2545_F491_4F6C_DD1D)
-                    .wrapping_add((k as u64) << 32)
-                    .wrapping_add(trial as u64);
-                let machines = select_random(&pool, k, draw_seed)?;
-                // The trial fan-out above already owns the workers; a
-                // nested per-app fan-out would only oversubscribe them.
-                pooled_r2(
-                    reader,
-                    &machines,
-                    &targets,
-                    &apps,
-                    draw_seed,
-                    Parallelism::Sequential,
-                )
-            },
-        );
+        // executor; summing the collected values in trial order keeps the
+        // float accumulation identical to the sequential loop.
+        let trial_r2s: Vec<Result<f64>> =
+            config
+                .parallelism
+                .par_map_indexed(2, config.random_trials, |trial| {
+                    let draw_seed = config
+                        .seed
+                        .wrapping_mul(0x2545_F491_4F6C_DD1D)
+                        .wrapping_add((k as u64) << 32)
+                        .wrapping_add(trial as u64);
+                    let machines = select_random(&pool, k, draw_seed)?;
+                    // The trial fan-out above already owns the workers; a
+                    // nested per-app fan-out would only oversubscribe them.
+                    pooled_r2(
+                        db,
+                        &machines,
+                        &targets,
+                        &apps,
+                        draw_seed,
+                        Parallelism::Sequential,
+                    )
+                });
         let mut random_sum = 0.0;
         for r2 in trial_r2s {
             random_sum += r2?;

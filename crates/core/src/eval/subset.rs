@@ -51,9 +51,8 @@ impl Default for SubsetConfig {
 /// `"size-{k}"`; trials are folded into the per-size aggregate (each trial
 /// contributes its own cells with the same fold label).
 ///
-/// Generic over the database backing ([`DatabaseView`]); draw workers read
-/// through per-worker handles, bitwise-identical across backings and
-/// thread counts.
+/// Generic over the database backing ([`DatabaseView`]); bitwise-identical
+/// across backings and thread counts.
 ///
 /// # Errors
 ///
@@ -94,7 +93,9 @@ pub fn subset_evaluation<D: DatabaseView + ?Sized>(
 
     // Fan the (size × trial) grid out across the executor; each draw has
     // its own derived seed, so the cells are order-independent.
-    let run_draw = |view: &dyn DatabaseView, size: usize, trial: usize| -> Result<Vec<CvCell>> {
+    let run_draw = |idx: usize| -> Result<Vec<CvCell>> {
+        let size = config.sizes[idx / config.trials];
+        let trial = idx % config.trials;
         let draw_seed = config
             .seed
             .wrapping_mul(0xA076_1D64_78BD_642F)
@@ -104,19 +105,19 @@ pub fn subset_evaluation<D: DatabaseView + ?Sized>(
         let mut cells = Vec::with_capacity(apps.len() * methods.len());
         for &app in &apps {
             let task = PredictionTask::leave_one_out(
-                view,
+                db,
                 app,
                 &predictive,
                 &targets,
                 draw_seed ^ (app as u64),
             )?;
-            let actual = PredictionTask::actual_scores(view, app, &targets);
+            let actual = PredictionTask::actual_scores(db, app, &targets);
             for method in methods {
                 let predicted = method.predict(&task)?;
                 let metrics = EvalMetrics::compute(&predicted, &actual)?;
                 cells.push(CvCell {
                     fold: format!("size-{size}"),
-                    app: view.benchmarks()[app].name.clone(),
+                    app: db.benchmarks()[app].name.clone(),
                     method: method.name().to_owned(),
                     metrics,
                 });
@@ -126,18 +127,8 @@ pub fn subset_evaluation<D: DatabaseView + ?Sized>(
     };
 
     let n_draws = config.sizes.len() * config.trials;
-    let results: Vec<Result<Vec<CvCell>>> = config.parallelism.par_map_indexed_with(
-        2,
-        n_draws,
-        || db.reader(),
-        |reader, idx| {
-            run_draw(
-                reader,
-                config.sizes[idx / config.trials],
-                idx % config.trials,
-            )
-        },
-    );
+    let results: Vec<Result<Vec<CvCell>>> =
+        config.parallelism.par_map_indexed(2, n_draws, run_draw);
     let mut report = CvReport::default();
     for r in results {
         report.cells.extend(r?);

@@ -85,11 +85,10 @@ impl Default for TemporalConfig {
 /// Runs the temporal evaluation. Fold labels are the era names
 /// (`"2008"`, `"2007"`, `"older"`).
 ///
-/// Generic over the database backing ([`DatabaseView`]); grid workers read
-/// through per-worker handles (no shared lookup state), and an era's
-/// machines occupy contiguous column ranges, so era-side reads stay
-/// shard-local on a sharded backing. Reports are bitwise-identical across
-/// backings and thread counts.
+/// Generic over the database backing ([`DatabaseView`]); an era's machines
+/// occupy contiguous column ranges, so era-side reads stay shard-local on
+/// a sharded backing. Reports are bitwise-identical across backings and
+/// thread counts.
 ///
 /// # Errors
 ///
@@ -128,25 +127,23 @@ pub fn temporal_evaluation<D: DatabaseView + ?Sized>(
         era_machines.push((era, predictive));
     }
 
-    let run_cell = |view: &dyn DatabaseView,
-                    era: PredictiveEra,
-                    predictive: &[usize],
-                    app: usize|
-     -> Result<Vec<CvCell>> {
+    let run_cell = |idx: usize| -> Result<Vec<CvCell>> {
+        let (era, predictive) = &era_machines[idx / apps.len()];
+        let app = apps[idx % apps.len()];
         let seed = config
             .seed
             .wrapping_mul(0xD1B5_4A32_D192_ED03)
-            .wrapping_add((era as u64) << 24)
+            .wrapping_add((*era as u64) << 24)
             .wrapping_add(app as u64);
-        let task = PredictionTask::leave_one_out(view, app, predictive, &targets, seed)?;
-        let actual = PredictionTask::actual_scores(view, app, &targets);
+        let task = PredictionTask::leave_one_out(db, app, predictive, &targets, seed)?;
+        let actual = PredictionTask::actual_scores(db, app, &targets);
         let mut cells = Vec::with_capacity(methods.len());
         for method in methods {
             let predicted = method.predict(&task)?;
             let metrics = EvalMetrics::compute(&predicted, &actual)?;
             cells.push(CvCell {
                 fold: era.to_string(),
-                app: view.benchmarks()[app].name.clone(),
+                app: db.benchmarks()[app].name.clone(),
                 method: method.name().to_owned(),
                 metrics,
             });
@@ -155,15 +152,8 @@ pub fn temporal_evaluation<D: DatabaseView + ?Sized>(
     };
 
     let n_cells = era_machines.len() * apps.len();
-    let results: Vec<Result<Vec<CvCell>>> = config.parallelism.par_map_indexed_with(
-        2,
-        n_cells,
-        || db.reader(),
-        |reader, idx| {
-            let (era, predictive) = &era_machines[idx / apps.len()];
-            run_cell(reader, *era, predictive, apps[idx % apps.len()])
-        },
-    );
+    let results: Vec<Result<Vec<CvCell>>> =
+        config.parallelism.par_map_indexed(2, n_cells, run_cell);
     let mut report = CvReport::default();
     for r in results {
         report.cells.extend(r?);

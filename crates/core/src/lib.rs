@@ -21,20 +21,20 @@
 //!   goodness-of-fit curve (Figure 8).
 //! * [`apps`] — application layers from §4: purchasing advisor,
 //!   heterogeneous-cluster scheduler, and design-space exploration.
-//! * [`analysis`] — PCA machine-similarity analysis: the low-dimensional
-//!   behaviour space that makes transposition work.
 //! * [`serve`] — the batched ranking-query front end: plan (with shard
 //!   pruning) → gather → predict → rank, many requests per pool pass,
 //!   bitwise-identical at any thread count and on either backing. Each
 //!   request validates into a typed per-slot [`serve::ServeError`]
-//!   (fault-isolated batches), and an optional
-//!   [`serve::ConfidenceConfig`] attaches bootstrap rank-confidence
-//!   intervals and tie groups to the response.
+//!   (fault-isolated batches); an optional [`serve::ConfidenceConfig`]
+//!   attaches bootstrap rank-confidence intervals and tie groups to the
+//!   response, and an optional [`serve::ApproxConfig`] narrows the
+//!   candidates to the best PCA buckets before exact evaluation.
 //! * [`fingerprint`] — stable splitmix64-based 64-bit digests of ranking
 //!   requests, the key material of the serving-path result cache.
 //! * [`cache`] — the bounded, versioned LRU result cache: hits are
-//!   bitwise-identical to cold evaluation, and a moved catalog version
-//!   (streaming ingest) drops every stale entry.
+//!   bitwise-identical to cold evaluation, a fingerprint collision is a
+//!   miss, and a moved catalog version (streaming ingest) drops every
+//!   stale entry.
 //!
 //! # Example: rank machines for a held-out benchmark
 //!
@@ -64,7 +64,6 @@
 
 mod error;
 
-pub mod analysis;
 pub mod apps;
 pub mod cache;
 pub mod eval;

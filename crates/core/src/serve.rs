@@ -6,9 +6,9 @@
 //! ([`ModelKind`]), the predictive machines the requester owns, a
 //! [`MachineFilter`] restricting the candidate targets, and an optional
 //! `top_k` cut. [`serve_batch`] executes many requests in **one pass over
-//! the persistent worker pool**: each worker carries a per-worker
-//! [`DbReader`] handle plus a lazily-built model cache as its scratch, and
-//! every request independently
+//! the persistent worker pool**: each worker carries a lazily-built model
+//! cache as its scratch and reads the shared view directly, and every
+//! request independently
 //!
 //! 1. **plans** — [`DatabaseView::plan_machines`] resolves the restriction
 //!    (on a sharded backing, shard statistics prune shards that provably
@@ -17,12 +17,13 @@
 //! 3. **predicts** — NNᵀ / MLPᵀ / GA-kNN, and
 //! 4. **ranks** — descending predicted score, truncated to `top_k`.
 //!
+//! A request carrying an [`ApproxConfig`] first narrows the planned
+//! candidates to the best PCA buckets; one without is served exactly.
+//!
 //! Responses are returned in request order and are **bitwise-identical**
 //! at any thread count, on dense and sharded backings, and under any
 //! batch permutation (each response depends only on its own request and
 //! the stored data; `tests/query_engine.rs` pins all three properties).
-//!
-//! [`DbReader`]: datatrans_dataset::view::DbReader
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -291,8 +292,7 @@ impl ConfidenceConfig {
 
 /// Parameters of the approximate serving fast path.
 ///
-/// When a request carries one (and the engine is compiled with the
-/// `approx` feature, on by default), serving first **coarse-ranks** the
+/// When a request carries one, serving first **coarse-ranks** the
 /// catalog's PCA buckets: a [`BucketIndex`] built at
 /// `(n_components, n_buckets)` partitions the machines, the request's own
 /// model scores each candidate-holding bucket's reconstructed centroid
@@ -456,8 +456,7 @@ pub struct RankResponse {
     /// request carried a [`ConfidenceConfig`].
     pub confidence: Option<RankConfidenceReport>,
     /// What the approximate fast path pruned; present exactly when the
-    /// request carried an [`ApproxConfig`] **and** the engine was
-    /// compiled with the `approx` feature.
+    /// request carried an [`ApproxConfig`].
     pub approx: Option<ApproxReport>,
 }
 
@@ -614,15 +613,12 @@ fn validate_request<D: DatabaseView + ?Sized>(
 type BucketIndexMap = HashMap<(usize, usize), std::result::Result<BucketIndex, DatasetError>>;
 
 /// Builds every distinct bucket index the batch's valid approx requests
-/// need. A no-op (empty map) without the `approx` feature.
+/// need.
 fn build_bucket_indices<D: DatabaseView + ?Sized>(
     db: &D,
     requests: &[RankRequest],
 ) -> BucketIndexMap {
     let mut map = BucketIndexMap::new();
-    if !cfg!(feature = "approx") {
-        return map;
-    }
     for request in requests {
         if let Some(approx) = &request.approx {
             if approx.validate(db.n_benchmarks()).is_err() {
@@ -687,8 +683,7 @@ fn coarse_task<D: DatabaseView + ?Sized>(
 /// centroid score with the request's own model, keep the top
 /// `probe_buckets`, and return the surviving candidates (in planned
 /// order) plus the annex. Returns the full candidate set untouched when
-/// the request carries no [`ApproxConfig`] or the `approx` feature is
-/// compiled out.
+/// the request carries no [`ApproxConfig`].
 fn approx_filter<D: DatabaseView + ?Sized>(
     view: &D,
     request: &RankRequest,
@@ -700,9 +695,6 @@ fn approx_filter<D: DatabaseView + ?Sized>(
     let Some(approx) = &request.approx else {
         return Ok((targets, None));
     };
-    if !cfg!(feature = "approx") {
-        return Ok((targets, None));
-    }
     let index = match indices.get(&(approx.n_components, approx.n_buckets)) {
         Some(Ok(index)) => index,
         Some(Err(e)) => return Err(ServeError::Evaluation(CoreError::Dataset(e.clone()))),
@@ -924,10 +916,10 @@ pub fn serve_one<D: DatabaseView + ?Sized>(
 /// can neither poison nor panic the batch, on either backing at any
 /// thread count.
 ///
-/// Each worker checks out a per-worker [`DatabaseView::reader`] handle and
-/// a model cache as scratch; requests are otherwise independent, so the
-/// result vector is bitwise-identical at any thread count and under any
-/// batch permutation (permuting requests permutes results identically).
+/// Each worker reads the shared view and keeps a model cache as scratch;
+/// requests are otherwise independent, so the result vector is
+/// bitwise-identical at any thread count and under any batch permutation
+/// (permuting requests permutes results identically).
 pub fn serve_batch<D: DatabaseView + ?Sized>(
     db: &D,
     requests: &[RankRequest],
@@ -937,12 +929,11 @@ pub fn serve_batch<D: DatabaseView + ?Sized>(
     // across the whole batch; built on the batch thread so every worker
     // sees the identical (bitwise) index regardless of thread count.
     let indices = build_bucket_indices(db, requests);
-    config.parallelism.par_map_with(
-        2,
-        requests,
-        || (db.reader(), ModelCache::default()),
-        |(reader, cache), request| serve_with(reader, request, config, cache, &indices),
-    )
+    config
+        .parallelism
+        .par_map_with(2, requests, ModelCache::default, |cache, request| {
+            serve_with(db, request, config, cache, &indices)
+        })
 }
 
 /// The answer to one cached batch: per-request results in request order
@@ -1617,7 +1608,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "approx")]
     #[test]
     fn approx_prunes_and_survivor_scores_match_exact_bits() {
         let db = generate(&DatasetConfig::default()).unwrap();
@@ -1670,7 +1660,6 @@ mod tests {
         assert_eq!(approx_machines, exact_filtered);
     }
 
-    #[cfg(feature = "approx")]
     #[test]
     fn probing_every_bucket_is_provably_exact() {
         let db = generate(&DatasetConfig::default()).unwrap();
@@ -1698,7 +1687,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "approx")]
     #[test]
     fn approx_is_bitwise_identical_across_backings_and_batch_order() {
         let db = generate(&DatasetConfig::default()).unwrap();
@@ -1728,27 +1716,5 @@ mod tests {
                 assert_eq!(x.predicted_score.to_bits(), y.predicted_score.to_bits());
             }
         }
-    }
-
-    #[cfg(not(feature = "approx"))]
-    #[test]
-    fn without_the_feature_approx_requests_serve_exactly() {
-        let db = generate(&DatasetConfig::default()).unwrap();
-        let exact = RankRequest {
-            predictive: vec![0, 30, 60],
-            ..base_request()
-        };
-        let approximate = RankRequest {
-            approx: Some(ApproxConfig {
-                n_components: 2,
-                n_buckets: 8,
-                probe_buckets: 2,
-            }),
-            ..exact.clone()
-        };
-        let exact_response = serve_one(&db, &exact, &quick()).unwrap();
-        let approx_response = serve_one(&db, &approximate, &quick()).unwrap();
-        assert!(approx_response.approx.is_none());
-        assert_eq!(approx_response.ranked, exact_response.ranked);
     }
 }

@@ -5,7 +5,7 @@ use datatrans_linalg::{Matrix, VecView};
 
 use crate::benchmark::Benchmark;
 use crate::machine::{Machine, ProcessorFamily};
-use crate::view::{DatabaseView, DbReader, RowSegment};
+use crate::view::{DatabaseView, RowSegment};
 use crate::{DatasetError, Result};
 
 /// One machine to append to a database: metadata plus its score column.
@@ -320,10 +320,6 @@ impl DatabaseView for PerfDatabase {
 
     fn catalog_version(&self) -> u64 {
         PerfDatabase::catalog_version(self)
-    }
-
-    fn reader(&self) -> DbReader<'_> {
-        DbReader::Dense(self)
     }
 }
 

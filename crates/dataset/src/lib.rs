@@ -78,7 +78,7 @@ pub use database::MachineIngest;
 pub use error::DatasetError;
 pub use query::{MachineFilter, QueryPlan, ShardStats};
 pub use sharded::ShardedPerfDatabase;
-pub use view::{DatabaseView, DbReader};
+pub use view::DatabaseView;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, DatasetError>;

@@ -21,10 +21,9 @@
 //! per-benchmark score ranges) computed once at construction. The
 //! [`DatabaseView::plan_machines`] override uses them to **prune shards**
 //! that provably cannot satisfy a [`MachineFilter`], and
-//! [`DatabaseView::gather`] can fan its run-hoisted row copies across the
-//! persistent worker pool ([`ShardedPerfDatabase::with_parallelism`]) —
-//! both are pure access-path optimizations that never change a returned
-//! byte.
+//! [`DatabaseView::gather`] hoists request-consecutive columns into
+//! per-shard copy runs — both are pure access-path optimizations that
+//! never change a returned byte.
 //!
 //! The database also supports **streaming ingest**
 //! ([`ShardedPerfDatabase::push_machines`]): new machines append to the
@@ -37,21 +36,14 @@
 //! bitwise-identical to the same catalog built at once
 //! (`tests/ingest_cache.rs` pins this, including across a split).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use datatrans_linalg::{Matrix, VecView};
-use datatrans_parallel::Parallelism;
 
 use crate::benchmark::Benchmark;
 use crate::database::{validate_ingest, MachineIngest, PerfDatabase};
 use crate::machine::Machine;
 use crate::query::{MachineFilter, PreparedFilter, QueryPlan, ShardStats};
-use crate::view::{DatabaseView, DbReader, RowSegment};
+use crate::view::{DatabaseView, RowSegment};
 use crate::{DatasetError, Result};
-
-/// Row-count threshold below which a parallel gather is not worth the
-/// dispatch: fall back to the inline copy loop.
-const GATHER_MIN_PAR_ROWS: usize = 8;
 
 /// One shard: a contiguous block of machine columns.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,12 +117,6 @@ pub struct ShardedPerfDatabase {
     /// Ingest counter: 0 at construction, +1 per non-empty
     /// [`Self::push_machines`] call.
     catalog_version: u64,
-    /// Worker threads for the per-row fan-out of [`DatabaseView::gather`].
-    /// `Sequential` (the default) copies inline; any other value fans
-    /// run-hoisted row copies across the persistent pool. Values are moved
-    /// verbatim either way, so the gathered matrix is bitwise-identical at
-    /// any thread count.
-    parallelism: Parallelism,
 }
 
 impl ShardedPerfDatabase {
@@ -203,26 +189,7 @@ impl ShardedPerfDatabase {
             balanced: true,
             split_width: None,
             catalog_version: db.catalog_version(),
-            parallelism: Parallelism::Sequential,
         })
-    }
-
-    /// Sets the worker-thread configuration for the per-row gather
-    /// fan-out (builder style; the default is [`Parallelism::Sequential`]).
-    ///
-    /// Parallelism changes only *who copies* the gathered rows, never the
-    /// bytes copied — gathers stay bitwise-identical at any thread count.
-    /// Leave it `Sequential` when gathers already run inside a harness
-    /// fan-out's workers; nesting is safe (the pool spawns the shortfall)
-    /// but oversubscribes cores.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The gather fan-out configuration.
-    pub fn gather_parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Sets the tail-shard split threshold (builder style): after an
@@ -472,14 +439,6 @@ impl ShardedPerfDatabase {
         }
         runs
     }
-
-    /// Copies one output row of a gather through the hoisted runs.
-    fn gather_row_into(&self, b: usize, runs: &[GatherRun], out: &mut [f64]) {
-        for run in runs {
-            let src = &self.shards[run.shard].row(b)[run.local_start..run.local_start + run.len];
-            out[run.out_start..run.out_start + run.len].copy_from_slice(src);
-        }
-    }
 }
 
 /// One hoisted copy run of a gather: `len` request-consecutive columns
@@ -535,40 +494,19 @@ impl DatabaseView for ShardedPerfDatabase {
         // Locate every requested column once, hoisting request-consecutive
         // columns into per-shard copy runs; then copy row-major so each
         // shard block is read sequentially per output row. Values are moved
-        // verbatim, so the result is bitwise-identical to a dense gather —
-        // and independent of how rows are distributed across workers.
+        // verbatim, so the result is bitwise-identical to a dense gather.
         for &b in benchmarks {
             assert!(b < self.benchmarks.len(), "benchmark index out of bounds");
         }
         let runs = self.gather_runs(machines);
-        let threads = self.parallelism.thread_count().min(benchmarks.len());
-        if threads > 1 && benchmarks.len() >= GATHER_MIN_PAR_ROWS {
-            // Fan contiguous row chunks across the persistent pool — one
-            // block allocation and one dispatch per worker, one merge copy
-            // per chunk. Chunk boundaries cannot affect the bytes: every
-            // row is the same verbatim copy sequence wherever it runs.
-            let width = machines.len();
-            let chunk_rows = benchmarks.len().div_ceil(threads);
-            let n_chunks = benchmarks.len().div_ceil(chunk_rows);
-            let chunks: Vec<Vec<f64>> = self.parallelism.par_map_indexed(1, n_chunks, |c| {
-                let lo = c * chunk_rows;
-                let hi = (lo + chunk_rows).min(benchmarks.len());
-                let mut block = vec![0.0; (hi - lo) * width];
-                for (i, &b) in benchmarks[lo..hi].iter().enumerate() {
-                    self.gather_row_into(b, &runs, &mut block[i * width..(i + 1) * width]);
-                }
-                block
-            });
-            let mut data = Vec::with_capacity(benchmarks.len() * width);
-            for chunk in &chunks {
-                data.extend_from_slice(chunk);
-            }
-            return Matrix::from_vec(benchmarks.len(), width, data)
-                .expect("gathered chunks have exactly benchmarks × machines entries");
-        }
         let mut out = Matrix::zeros(benchmarks.len(), machines.len());
         for (i, &b) in benchmarks.iter().enumerate() {
-            self.gather_row_into(b, &runs, out.row_mut(i));
+            let row = out.row_mut(i);
+            for run in &runs {
+                let src =
+                    &self.shards[run.shard].row(b)[run.local_start..run.local_start + run.len];
+                row[run.out_start..run.out_start + run.len].copy_from_slice(src);
+            }
         }
         out
     }
@@ -606,110 +544,6 @@ impl DatabaseView for ShardedPerfDatabase {
             shards_scanned,
             shards_pruned,
         }
-    }
-
-    fn reader(&self) -> DbReader<'_> {
-        DbReader::Sharded(ShardReader {
-            db: self,
-            last: AtomicUsize::new(0),
-        })
-    }
-}
-
-/// A per-worker read handle over a sharded database that caches the shard
-/// serving the most recent lookup.
-///
-/// Harness workers sweep machine ranges (a family's columns, an era's
-/// columns) that live in one or two shards; the cache turns the per-lookup
-/// shard location into a single range check. The cache only affects lookup
-/// *speed* — the value read is always the same stored `f64` — which is the
-/// per-worker-scratch contract of `Parallelism::par_map_with`: scratch
-/// holds no part of the computed result.
-#[derive(Debug)]
-pub struct ShardReader<'a> {
-    db: &'a ShardedPerfDatabase,
-    /// Index of the shard that served the last lookup (relaxed atomic so
-    /// the handle stays `Sync` for `&dyn DatabaseView` use; handles are
-    /// per-worker, so there is no contention in practice).
-    last: AtomicUsize,
-}
-
-impl<'a> ShardReader<'a> {
-    /// The underlying sharded database.
-    pub fn database(&self) -> &'a ShardedPerfDatabase {
-        self.db
-    }
-
-    /// Locates machine `m`, consulting the cached shard first.
-    fn locate(&self, m: usize) -> (usize, usize) {
-        assert!(m < self.db.machines.len(), "machine index out of bounds");
-        let cached = self.last.load(Ordering::Relaxed);
-        if let Some(shard) = self.db.shards.get(cached) {
-            if shard.machine_range().contains(&m) {
-                return (cached, m - shard.start);
-            }
-        }
-        let (s, local) = self.db.locate(m);
-        self.last.store(s, Ordering::Relaxed);
-        (s, local)
-    }
-}
-
-impl DatabaseView for ShardReader<'_> {
-    fn n_benchmarks(&self) -> usize {
-        self.db.benchmarks.len()
-    }
-
-    fn n_machines(&self) -> usize {
-        self.db.machines.len()
-    }
-
-    fn benchmarks(&self) -> &[Benchmark] {
-        &self.db.benchmarks
-    }
-
-    fn machines(&self) -> &[Machine] {
-        &self.db.machines
-    }
-
-    fn score(&self, b: usize, m: usize) -> f64 {
-        assert!(
-            b < self.db.benchmarks.len(),
-            "benchmark index out of bounds"
-        );
-        let (s, local) = self.locate(m);
-        self.db.shards[s].scores[(b, local)]
-    }
-
-    fn machine_column(&self, m: usize) -> VecView<'_> {
-        let (s, local) = self.locate(m);
-        self.db.shards[s].scores.col_view(local)
-    }
-
-    fn benchmark_row_segments(&self, b: usize) -> Vec<RowSegment<'_>> {
-        self.db.benchmark_row_segments(b)
-    }
-
-    fn gather(&self, benchmarks: &[usize], machines: &[usize]) -> Matrix {
-        // The bulk gather already locates each column exactly once; the
-        // cursor would add nothing.
-        self.db.gather(benchmarks, machines)
-    }
-
-    fn n_shards(&self) -> usize {
-        self.db.shards.len()
-    }
-
-    fn catalog_version(&self) -> u64 {
-        self.db.catalog_version
-    }
-
-    fn plan_machines(&self, filter: &MachineFilter) -> QueryPlan {
-        self.db.plan_machines(filter)
-    }
-
-    fn reader(&self) -> DbReader<'_> {
-        self.db.reader()
     }
 }
 
@@ -860,8 +694,9 @@ mod tests {
         // Seeded random shapes and shard counts (including non-dividing
         // ones): for every filter, the statistics-pruned plan must list
         // exactly the machines a full metadata scan finds, and a gather of
-        // the planned columns must be bitwise-identical to the dense
-        // backing's.
+        // the planned columns — followed by repeated and descending ones
+        // that defeat run coalescing — must be bitwise-identical to the
+        // dense backing's.
         for (seed, n_machines, n_shards) in [
             (1u64, 117usize, 5usize),
             (2, 64, 7),
@@ -896,8 +731,12 @@ mod tests {
                 );
                 assert_eq!(plan.shards_scanned + plan.shards_pruned, n_shards);
                 let rows: Vec<usize> = (0..db.n_benchmarks()).collect();
-                let sharded_gather = DatabaseView::gather(&sharded, &rows, &plan.machines);
-                let dense_gather = DatabaseView::gather(&db, &rows, &full);
+                // [116, 57, 57, 0] on the 117-machine catalog.
+                let half = n_machines / 2 - 1;
+                let mut cols = plan.machines;
+                cols.extend([n_machines - 1, half, half, 0]);
+                let sharded_gather = DatabaseView::gather(&sharded, &rows, &cols);
+                let dense_gather = DatabaseView::gather(&db, &rows, &cols);
                 assert_eq!(sharded_gather.shape(), dense_gather.shape());
                 for i in 0..dense_gather.rows() {
                     for j in 0..dense_gather.cols() {
@@ -932,43 +771,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_gather_matches_sequential_bitwise() {
-        let db = dense();
-        let rows: Vec<usize> = (0..db.n_benchmarks()).collect();
-        // Mixed request: a contiguous family range, scattered columns, and
-        // repeated + descending indices to defeat run coalescing.
-        let mut cols: Vec<usize> = db.machines_in_family(crate::machine::ProcessorFamily::Xeon);
-        cols.extend((0..db.n_machines()).step_by(13));
-        cols.extend([116, 57, 57, 0]);
-        for n_shards in [1usize, 4, 7] {
-            let sequential = ShardedPerfDatabase::from_dense(&db, n_shards).unwrap();
-            let expected = DatabaseView::gather(&sequential, &rows, &cols);
-            for threads in [2usize, 4] {
-                let parallel = ShardedPerfDatabase::from_dense(&db, n_shards)
-                    .unwrap()
-                    .with_parallelism(Parallelism::Threads(threads));
-                assert_eq!(parallel.gather_parallelism(), Parallelism::Threads(threads));
-                let got = DatabaseView::gather(&parallel, &rows, &cols);
-                assert_eq!(got.shape(), expected.shape());
-                for i in 0..expected.rows() {
-                    for j in 0..expected.cols() {
-                        assert_eq!(
-                            got[(i, j)].to_bits(),
-                            expected[(i, j)].to_bits(),
-                            "{n_shards} shards, {threads} threads, ({i}, {j})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_index_gathers_are_well_formed() {
         let db = dense();
-        let sharded = ShardedPerfDatabase::from_dense(&db, 4)
-            .unwrap()
-            .with_parallelism(Parallelism::Threads(2));
+        let sharded = ShardedPerfDatabase::from_dense(&db, 4).unwrap();
         let rows: Vec<usize> = (0..db.n_benchmarks()).collect();
         let cols: Vec<usize> = vec![3, 99];
         for view in [&sharded as &dyn DatabaseView, &db as &dyn DatabaseView] {
@@ -1103,7 +908,6 @@ mod tests {
             assert_eq!(sharded.catalog_version(), expected);
         }
         assert_eq!(sharded.to_dense().catalog_version(), 3);
-        assert_eq!(sharded.reader().catalog_version(), 3);
     }
 
     #[test]
@@ -1118,23 +922,5 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn reader_cache_never_changes_values() {
-        let db = dense();
-        let sharded = ShardedPerfDatabase::from_dense(&db, 4).unwrap();
-        let reader = sharded.reader();
-        // Alternate between distant columns so the cache keeps missing,
-        // then re-hitting; every value must still match the dense backing.
-        for &m in &[0usize, 116, 1, 115, 58, 59, 58, 0] {
-            for b in 0..db.n_benchmarks() {
-                assert_eq!(
-                    reader.score(b, m).to_bits(),
-                    db.score(b, m).to_bits(),
-                    "b={b} m={m}"
-                );
-            }
-        }
     }
 }

@@ -4,7 +4,7 @@
 //! scale system partitions the same `benchmarks × machines` table into
 //! column-range shards ([`crate::sharded::ShardedPerfDatabase`]). Every
 //! consumer in `core`/`experiments` — task gathers, the evaluation
-//! harnesses, selection, analysis — reads the database exclusively through
+//! harnesses, selection, serving — reads the database exclusively through
 //! the [`DatabaseView`] trait defined here, so the dense and sharded
 //! backings are interchangeable and provably (bitwise) equivalent; the
 //! cross-shard equivalence test suite pins that contract.
@@ -22,10 +22,8 @@
 use datatrans_linalg::{Matrix, VecView};
 
 use crate::benchmark::Benchmark;
-use crate::database::PerfDatabase;
 use crate::machine::{Machine, ProcessorFamily};
 use crate::query::{scan_machines, MachineFilter, QueryPlan};
-use crate::sharded::ShardReader;
 use crate::{DatasetError, Result};
 
 /// One contiguous run of a benchmark's row, as stored by one shard.
@@ -45,8 +43,8 @@ pub struct RowSegment<'a> {
 /// Read access to a `benchmarks × machines` performance database,
 /// independent of the backing layout (dense or column-range sharded).
 ///
-/// The trait is object-safe: harness internals hand `&dyn DatabaseView`
-/// (usually a per-worker [`DbReader`]) down to task construction.
+/// The trait is object-safe, so a backing chosen at run time can be
+/// handed around as `&dyn DatabaseView`.
 pub trait DatabaseView: Sync {
     /// Number of benchmarks (logical rows).
     fn n_benchmarks(&self) -> usize;
@@ -128,17 +126,6 @@ pub trait DatabaseView: Sync {
         }
     }
 
-    /// A cheap per-worker read handle.
-    ///
-    /// Dense backings return a stateless pass-through; the sharded backing
-    /// returns a handle that caches the shard serving the most recent
-    /// lookup, so a worker sweeping one shard's machine range locates it
-    /// once. The handle reads the same storage, so results are bitwise
-    /// identical — it only changes *how fast* a lookup finds its shard,
-    /// which is exactly the per-worker-scratch contract of
-    /// `Parallelism::par_map_with`.
-    fn reader(&self) -> DbReader<'_>;
-
     /// Benchmark row `b` as one owned contiguous vector (concatenated
     /// segments).
     ///
@@ -196,106 +183,5 @@ pub trait DatabaseView: Sync {
             .filter(|(_, m)| m.year < year)
             .map(|(i, _)| i)
             .collect()
-    }
-}
-
-/// A per-worker read handle over either backing.
-///
-/// Obtained from [`DatabaseView::reader`]; implements [`DatabaseView`]
-/// itself, so harness workers can hand it to task construction unchanged.
-/// The dense variant is a stateless pass-through; the sharded variant
-/// caches the last shard touched (see
-/// [`crate::sharded::ShardReader`]).
-#[derive(Debug)]
-pub enum DbReader<'a> {
-    /// Pass-through over the dense backing.
-    Dense(&'a PerfDatabase),
-    /// Shard-cursor handle over the sharded backing.
-    Sharded(ShardReader<'a>),
-}
-
-impl DatabaseView for DbReader<'_> {
-    fn n_benchmarks(&self) -> usize {
-        match self {
-            DbReader::Dense(db) => DatabaseView::n_benchmarks(*db),
-            DbReader::Sharded(r) => r.n_benchmarks(),
-        }
-    }
-
-    fn n_machines(&self) -> usize {
-        match self {
-            DbReader::Dense(db) => DatabaseView::n_machines(*db),
-            DbReader::Sharded(r) => r.n_machines(),
-        }
-    }
-
-    fn benchmarks(&self) -> &[Benchmark] {
-        match self {
-            DbReader::Dense(db) => DatabaseView::benchmarks(*db),
-            DbReader::Sharded(r) => r.benchmarks(),
-        }
-    }
-
-    fn machines(&self) -> &[Machine] {
-        match self {
-            DbReader::Dense(db) => DatabaseView::machines(*db),
-            DbReader::Sharded(r) => r.machines(),
-        }
-    }
-
-    fn score(&self, b: usize, m: usize) -> f64 {
-        match self {
-            DbReader::Dense(db) => DatabaseView::score(*db, b, m),
-            DbReader::Sharded(r) => r.score(b, m),
-        }
-    }
-
-    fn machine_column(&self, m: usize) -> VecView<'_> {
-        match self {
-            DbReader::Dense(db) => DatabaseView::machine_column(*db, m),
-            DbReader::Sharded(r) => r.machine_column(m),
-        }
-    }
-
-    fn benchmark_row_segments(&self, b: usize) -> Vec<RowSegment<'_>> {
-        match self {
-            DbReader::Dense(db) => DatabaseView::benchmark_row_segments(*db, b),
-            DbReader::Sharded(r) => r.benchmark_row_segments(b),
-        }
-    }
-
-    fn gather(&self, benchmarks: &[usize], machines: &[usize]) -> Matrix {
-        match self {
-            DbReader::Dense(db) => DatabaseView::gather(*db, benchmarks, machines),
-            DbReader::Sharded(r) => r.gather(benchmarks, machines),
-        }
-    }
-
-    fn n_shards(&self) -> usize {
-        match self {
-            DbReader::Dense(_) => 1,
-            DbReader::Sharded(r) => r.n_shards(),
-        }
-    }
-
-    fn catalog_version(&self) -> u64 {
-        match self {
-            DbReader::Dense(db) => DatabaseView::catalog_version(*db),
-            DbReader::Sharded(r) => r.catalog_version(),
-        }
-    }
-
-    fn plan_machines(&self, filter: &MachineFilter) -> QueryPlan {
-        match self {
-            DbReader::Dense(db) => DatabaseView::plan_machines(*db, filter),
-            DbReader::Sharded(r) => r.plan_machines(filter),
-        }
-    }
-
-    fn reader(&self) -> DbReader<'_> {
-        match self {
-            DbReader::Dense(db) => DbReader::Dense(db),
-            DbReader::Sharded(r) => r.reader(),
-        }
     }
 }

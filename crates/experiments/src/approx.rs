@@ -353,7 +353,6 @@ mod tests {
         assert!(text.contains("speedup"));
     }
 
-    #[cfg(feature = "approx")]
     #[test]
     fn tight_probe_budgets_actually_prune() {
         let result = run(&quick_approx_config()).unwrap();

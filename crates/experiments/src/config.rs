@@ -42,12 +42,6 @@ pub struct ExperimentConfig {
     /// bitwise-identical across backings — the shard-equivalence suite
     /// pins the contract.
     pub db_shards: Option<usize>,
-    /// Fan the sharded backing's gather row copies across the worker pool
-    /// (`ShardedPerfDatabase::with_parallelism`). Off by default: the
-    /// harness grids already own the cores, so this pays off only for
-    /// standalone wide gathers (e.g. single large serving requests).
-    /// Results are bitwise-identical either way.
-    pub gather_parallel: bool,
     /// Nominal request count for the `repro serve` driver's synthetic
     /// batch (scaled by `trial_scale` like other stochastic-repeat
     /// counts).
@@ -85,7 +79,6 @@ impl Default for ExperimentConfig {
             ga_generations: 40,
             parallelism: Parallelism::default(),
             db_shards: None,
-            gather_parallel: false,
             serve_requests: 48,
             serve_top_k: 5,
             serve_ingest: false,
@@ -210,16 +203,10 @@ impl ExperimentConfig {
     /// Propagates dataset-generation failures and invalid shard counts.
     pub fn build_backing(&self) -> Result<DbBacking> {
         let dense = self.build_database()?;
-        match self.db_shards {
-            None => Ok(DbBacking::Dense(dense)),
-            Some(n) => {
-                let mut sharded = ShardedPerfDatabase::from_dense(&dense, n)?;
-                if self.gather_parallel {
-                    sharded = sharded.with_parallelism(self.parallelism);
-                }
-                Ok(DbBacking::Sharded(sharded))
-            }
-        }
+        Ok(match self.db_shards {
+            None => DbBacking::Dense(dense),
+            Some(n) => DbBacking::Sharded(ShardedPerfDatabase::from_dense(&dense, n)?),
+        })
     }
 
     /// The serving engine's configuration at this experiment's budgets:

@@ -117,8 +117,7 @@ pub fn synth_requests<D: DatabaseView + ?Sized>(
             AppOfInterest::External(synthesize(profile, seed.wrapping_add(i as u64)))
         };
         // Every fifth request opts into the approximate fast path, so the
-        // mix exercises exact and approx serving side by side (with the
-        // `approx` feature compiled out these serve exactly, annex-free).
+        // mix exercises exact and approx serving side by side.
         let approx = (i % 5 == 4).then_some(ApproxConfig {
             n_components: 2,
             n_buckets: 8,
@@ -345,7 +344,6 @@ mod tests {
         assert!(text.contains("ingested 8 machines"));
     }
 
-    #[cfg(feature = "approx")]
     #[test]
     fn approx_counters_track_the_mix() {
         // trial_scale 1.0 keeps all 10 requests, so the mix includes the

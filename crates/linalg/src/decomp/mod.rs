@@ -1,12 +1,8 @@
-//! Matrix decompositions: Householder QR, Cholesky, partial-pivot LU, and a
-//! cyclic Jacobi eigensolver for symmetric matrices.
+//! Matrix decompositions: Householder QR and a cyclic Jacobi eigensolver
+//! for symmetric matrices.
 
-mod cholesky;
 mod eigen;
-mod lu;
 mod qr;
 
-pub use cholesky::Cholesky;
 pub use eigen::{symmetric_eigen, SymmetricEigen};
-pub use lu::Lu;
 pub use qr::Qr;

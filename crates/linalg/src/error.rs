@@ -22,8 +22,6 @@ pub enum LinalgError {
     /// The matrix is singular (or numerically so) and cannot be factored
     /// or solved against.
     Singular,
-    /// The matrix is not positive definite (Cholesky only).
-    NotPositiveDefinite,
     /// An operand was empty where a non-empty operand is required.
     Empty {
         /// Which operand was empty.
@@ -52,9 +50,6 @@ impl fmt::Display for LinalgError {
                 write!(f, "matrix must be square, got {}x{}", shape.0, shape.1)
             }
             LinalgError::Singular => write!(f, "matrix is singular"),
-            LinalgError::NotPositiveDefinite => {
-                write!(f, "matrix is not positive definite")
-            }
             LinalgError::Empty { what } => write!(f, "{what} must not be empty"),
             LinalgError::NonFinite => write!(f, "input contains NaN or infinite values"),
             LinalgError::NoConvergence {

@@ -3,10 +3,8 @@
 //! This crate provides the small, dependency-free numerical kernel that the
 //! rest of the workspace builds on: a row-major dense [`Matrix`], slice-based
 //! vector operations in [`vecops`], and the decompositions needed by the
-//! higher layers (QR for least squares, Cholesky for symmetric
-//! positive-definite systems, LU with partial pivoting for general square
-//! systems, and a cyclic Jacobi eigensolver for symmetric matrices, used by
-//! PCA).
+//! higher layers (QR for least squares, and a cyclic Jacobi eigensolver for
+//! symmetric matrices, used by PCA).
 //!
 //! # Example
 //!

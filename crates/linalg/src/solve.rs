@@ -1,6 +1,6 @@
 //! High-level solver entry points built on the decompositions.
 
-use crate::decomp::{Lu, Qr};
+use crate::decomp::Qr;
 use crate::{Matrix, Result};
 
 /// Solves the least-squares problem `min ||A·x − b||₂` via Householder QR.
@@ -26,16 +26,6 @@ pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     Qr::new(a)?.solve(b)
 }
 
-/// Solves the square linear system `A·x = b` via LU with partial pivoting.
-///
-/// # Errors
-///
-/// Propagates [`crate::LinalgError`] from the LU factorization: non-square,
-/// empty, non-finite, or singular `A`; or a right-hand side of wrong length.
-pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    Lu::new(a)?.solve(b)
-}
-
 /// Residual vector `b − A·x`, useful for verifying solutions in tests.
 ///
 /// # Errors
@@ -56,13 +46,6 @@ mod tests {
         let x = lstsq(&a, &[9.0, 8.0]).unwrap();
         let r = residual(&a, &x, &[9.0, 8.0]).unwrap();
         assert!(r.iter().all(|v| v.abs() < 1e-10));
-    }
-
-    #[test]
-    fn solve_square_system() {
-        let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]).unwrap();
-        let x = solve(&a, &[2.0, 8.0]).unwrap();
-        assert_eq!(x, vec![1.0, 2.0]);
     }
 
     #[test]

@@ -24,12 +24,9 @@
 //! `&mut S` scratch value created **once per worker per call** by an
 //! `init` closure. This is the `Sync` scratch-buffer story for hot loops
 //! whose per-item work wants preallocated buffers (GA-kNN distance
-//! buffers, MLP forward-pass scratch) or per-worker read handles (the
-//! sharded database's shard-cursor readers: each evaluation-harness worker
-//! gets its own handle caching the shard serving its last lookup, so
-//! workers never contend on a shared cursor): the
-//! map closure itself stays `Fn + Sync`, while each worker mutates only
-//! its private scratch. Because the scratch must never influence the
+//! buffers, MLP forward-pass scratch, the serving engine's model cache):
+//! the map closure itself stays `Fn + Sync`, while each worker mutates
+//! only its private scratch. Because the scratch must never influence the
 //! *value* computed for an item (only where intermediates are stored, or
 //! how fast a lookup resolves), results remain bitwise-identical at any
 //! thread count; the sequential fallback reuses a single scratch for the
@@ -473,8 +470,8 @@ mod tests {
 
     #[test]
     fn cursor_style_scratch_accelerates_without_changing_values() {
-        // The sharded database's reader-handle pattern: scratch is a
-        // cursor caching the "segment" that served the last lookup. The
+        // Scratch as a lookup accelerator: a cursor caching the "segment"
+        // that served the last lookup. The
         // cursor changes how a value is *found* (cache hit vs recomputed
         // segment search), never the value itself — so every thread count
         // must return identical results even though workers' cursors see

@@ -12,7 +12,8 @@
 //!
 //! This facade crate re-exports the workspace layers:
 //!
-//! * [`linalg`] — dense matrices, QR/Cholesky/LU/eigen decompositions.
+//! * [`linalg`] — dense matrices, QR least squares, the symmetric
+//!   eigensolver, and the fixed-tree summation kernels.
 //! * [`parallel`] — the deterministic scoped worker-pool executor
 //!   (`Parallelism`, `par_map`) behind every fan-out; results are
 //!   bitwise-identical at any thread count.

@@ -1,9 +1,7 @@
 //! The approximate-serving contract end to end:
 //!
 //! * exact mode (`ApproxConfig = None`) is byte-identical to pre-approx
-//!   serving — pinned against golden machine indices and score bits, so
-//!   running this suite with `--no-default-features` (CI does) proves the
-//!   `approx` feature compiles out without moving a single bit;
+//!   serving — pinned against golden machine indices and score bits;
 //! * approx responses are bitwise-identical across thread counts (1/4 and
 //!   `Auto`), dense vs 8-shard backings, permuted batch order, and cache
 //!   warmth;
@@ -137,10 +135,7 @@ fn rankings_only(responses: &[RankResponse]) -> Vec<RankResponse> {
 // ---------------------------------------------------------------------
 
 /// Pinned golden for the exact path: if serving an `ApproxConfig = None`
-/// request ever moves a bit — whether the `approx` feature is compiled in
-/// or not — this fails loudly. CI runs the suite under both feature
-/// configurations, so the same literals double as the cross-feature
-/// byte-identity proof.
+/// request ever moves a bit, this fails loudly.
 #[test]
 fn exact_requests_match_the_pinned_golden_ranking() {
     let db = generate(&DatasetConfig::default()).expect("dataset");
@@ -170,36 +165,6 @@ fn exact_requests_match_the_pinned_golden_ranking() {
     );
 }
 
-/// With the feature compiled out, an approx-bearing request serves
-/// exactly: same bits as `ApproxConfig = None`, no annex. Together with
-/// the golden above, the two feature configurations are provably
-/// byte-identical on the exact path.
-#[cfg(not(feature = "approx"))]
-#[test]
-fn without_the_feature_approx_requests_serve_the_exact_ranking() {
-    let db = generate(&DatasetConfig::default()).expect("dataset");
-    let config = quick_config(Parallelism::Sequential);
-    let exact = serve_one(&db, &base_request(), &config).expect("exact serve");
-    let requested = serve_one(
-        &db,
-        &RankRequest {
-            approx: Some(approx_config()),
-            ..base_request()
-        },
-        &config,
-    )
-    .expect("approx-bearing serve");
-    assert!(requested.approx.is_none(), "feature off: no annex");
-    assert_responses_bitwise_eq(
-        &[exact],
-        &[RankResponse {
-            approx: None,
-            ..requested
-        }],
-        "feature off",
-    );
-}
-
 // ---------------------------------------------------------------------
 // Approx determinism
 // ---------------------------------------------------------------------
@@ -209,7 +174,6 @@ fn without_the_feature_approx_requests_serve_the_exact_ranking() {
 /// and four worker threads (plus `Auto`, which honours
 /// `DATATRANS_THREADS` — CI pins 1 and 4), in forward and reversed batch
 /// order, must agree bitwise with the sequential dense reference.
-#[cfg(feature = "approx")]
 #[test]
 fn approx_is_bitwise_identical_across_threads_backings_and_order() {
     let dense = generate(&DatasetConfig::default()).expect("dataset");
@@ -248,7 +212,6 @@ fn approx_is_bitwise_identical_across_threads_backings_and_order() {
 
 /// Cache warmth must not move a bit: a cold cached batch equals the
 /// uncached serve, and the all-hit warm replay equals the cold pass.
-#[cfg(feature = "approx")]
 #[test]
 fn approx_is_bitwise_identical_across_cache_warmth() {
     let dense = generate(&DatasetConfig::default()).expect("dataset");
@@ -301,7 +264,6 @@ fn prefix_database(db: &PerfDatabase, keep: usize) -> PerfDatabase {
 /// requests bitwise-identically to the same catalog built at once — on
 /// both backings, including a cached serve whose pre-ingest entries the
 /// version move invalidates.
-#[cfg(feature = "approx")]
 #[test]
 fn index_rebuilt_after_ingest_equals_built_from_scratch() {
     use datatrans::dataset::database::MachineIngest;
@@ -371,7 +333,6 @@ fn index_rebuilt_after_ingest_equals_built_from_scratch() {
 /// `probe_buckets = n_buckets` keeps every bucket, so nothing is
 /// short-circuited and the ranking equals the exact one bit for bit —
 /// for a top-k request and for a full ranking.
-#[cfg(feature = "approx")]
 #[test]
 fn probing_every_bucket_reproduces_the_exact_ranking() {
     let dense = generate(&DatasetConfig::default()).expect("dataset");
@@ -410,8 +371,7 @@ fn probing_every_bucket_reproduces_the_exact_ranking() {
 
 /// Exact and approx variants of the same request live in distinct
 /// fingerprint domains: serving one must never satisfy the other from
-/// the cache. Holds with the feature compiled out too — the fingerprint
-/// is a function of the request alone.
+/// the cache.
 #[test]
 fn exact_and_approx_requests_never_collide_in_the_cache() {
     let dense = generate(&DatasetConfig::default()).expect("dataset");

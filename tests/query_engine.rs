@@ -270,30 +270,6 @@ fn batch_agrees_with_one_by_one_serving() {
 }
 
 #[test]
-fn parallel_gather_backing_serves_identical_responses() {
-    // The same batch on a sharded backing whose gathers fan out over the
-    // pool: responses must be bitwise-identical to the sequential-gather
-    // backing (nested fan-out — batch workers issuing parallel gathers —
-    // included).
-    let db = generate(&DatasetConfig::default()).expect("dataset");
-    let requests = request_mix(&db);
-    let config = quick_config(Parallelism::Threads(2));
-    let plain = ShardedPerfDatabase::from_dense(&db, 6).expect("shardable");
-    let reference = ok_all(
-        serve_batch(&plain, &requests, &config),
-        "sequential gathers",
-    );
-    let gather_parallel = ShardedPerfDatabase::from_dense(&db, 6)
-        .expect("shardable")
-        .with_parallelism(Parallelism::Threads(2));
-    let responses = ok_all(
-        serve_batch(&gather_parallel, &requests, &config),
-        "parallel gathers",
-    );
-    assert_responses_bitwise_eq(&reference, &responses, "parallel-gather backing");
-}
-
-#[test]
 fn top_k_is_a_prefix_of_the_full_ranking() {
     let db = generate(&DatasetConfig::default()).expect("dataset");
     let full_request = RankRequest {

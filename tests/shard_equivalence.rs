@@ -120,8 +120,7 @@ fn assert_view_equivalent(dense: &PerfDatabase, sharded: &ShardedPerfDatabase, l
     assert!(s.benchmark_index("no-such-benchmark").is_err(), "{label}");
 }
 
-/// Random gathers (the task-construction read path), compared bitwise —
-/// through the backing directly and through its per-worker reader handle.
+/// Random gathers (the task-construction read path), compared bitwise.
 fn assert_gather_equivalent(
     dense: &PerfDatabase,
     sharded: &ShardedPerfDatabase,
@@ -141,7 +140,6 @@ fn assert_gather_equivalent(
             .collect();
         let dense_sub = d.gather(&rows, &cols);
         let sharded_sub = s.gather(&rows, &cols);
-        let reader_sub = s.reader().gather(&rows, &cols);
         assert_eq!(dense_sub.shape(), sharded_sub.shape(), "{label}");
         for i in 0..dense_sub.rows() {
             for j in 0..dense_sub.cols() {
@@ -149,11 +147,6 @@ fn assert_gather_equivalent(
                     dense_sub[(i, j)].to_bits(),
                     sharded_sub[(i, j)].to_bits(),
                     "{label}: gather ({i}, {j})"
-                );
-                assert_eq!(
-                    dense_sub[(i, j)].to_bits(),
-                    reader_sub[(i, j)].to_bits(),
-                    "{label}: reader gather ({i}, {j})"
                 );
             }
         }
@@ -190,24 +183,12 @@ fn accessors_identical_across_seeded_shapes_and_shard_layouts() {
 #[test]
 fn empty_index_gathers_identical_on_both_backings() {
     // `gather(&[], _)` / `gather(_, &[])` must return a well-formed 0×n /
-    // n×0 matrix — no panic — on the dense backing, the sharded backing
-    // (sequential and pool-fanned gathers), and their reader handles.
+    // n×0 matrix — no panic — on the dense and the sharded backing.
     let dense = generate(&DatasetConfig::default()).expect("dataset");
     let sharded = ShardedPerfDatabase::from_dense(&dense, 5).expect("shardable");
-    let parallel = ShardedPerfDatabase::from_dense(&dense, 5)
-        .expect("shardable")
-        .with_parallelism(Parallelism::Threads(4));
     let rows: Vec<usize> = (0..dense.n_benchmarks()).collect();
     let cols: Vec<usize> = vec![0, 58, 116];
-    let dense_reader = DatabaseView::reader(&dense);
-    let sharded_reader = DatabaseView::reader(&sharded);
-    let views: [(&dyn DatabaseView, &str); 5] = [
-        (&dense, "dense"),
-        (&sharded, "sharded"),
-        (&parallel, "sharded+parallel"),
-        (&dense_reader, "dense reader"),
-        (&sharded_reader, "sharded reader"),
-    ];
+    let views: [(&dyn DatabaseView, &str); 2] = [(&dense, "dense"), (&sharded, "sharded")];
     for (view, label) in views {
         let no_rows = view.gather(&[], &cols);
         assert_eq!(no_rows.shape(), (0, 3), "{label}");
@@ -219,31 +200,9 @@ fn empty_index_gathers_identical_on_both_backings() {
 }
 
 #[test]
-fn parallel_gather_identical_across_layouts_and_thread_counts() {
-    // Pool-fanned row copies are pure distribution of verbatim copies:
-    // random gathers must match the dense backing bit for bit at any
-    // shard layout and worker count.
-    let dense = generate(&DatasetConfig::default()).expect("dataset");
-    let mut rng = StdRng::seed_from_u64(0x6A7_4E12);
-    for n_shards in [2usize, 5, 117] {
-        for threads in [2usize, 4] {
-            let sharded = ShardedPerfDatabase::from_dense(&dense, n_shards)
-                .expect("shardable")
-                .with_parallelism(Parallelism::Threads(threads));
-            assert_gather_equivalent(
-                &dense,
-                &sharded,
-                &mut rng,
-                &format!("{n_shards} shards, {threads} gather threads"),
-            );
-        }
-    }
-}
-
-#[test]
 fn query_plans_identical_on_every_view() {
-    // The planner's machine list is backing-independent: dense full scan,
-    // sharded pruned plan, and both reader handles must agree exactly.
+    // The planner's machine list is backing-independent: the dense full
+    // scan and the sharded pruned plan must agree exactly.
     let dense = generate(&DatasetConfig::default()).expect("dataset");
     let sharded = ShardedPerfDatabase::from_dense(&dense, 8).expect("shardable");
     let threshold = dense.score(2, 60);
@@ -260,18 +219,6 @@ fn query_plans_identical_on_every_view() {
         let reference = DatabaseView::plan_machines(&dense, filter);
         let pruned = DatabaseView::plan_machines(&sharded, filter);
         assert_eq!(reference.machines, pruned.machines, "{filter:?}");
-        assert_eq!(
-            DatabaseView::reader(&dense).plan_machines(filter).machines,
-            reference.machines,
-            "{filter:?}"
-        );
-        assert_eq!(
-            DatabaseView::reader(&sharded)
-                .plan_machines(filter)
-                .machines,
-            reference.machines,
-            "{filter:?}"
-        );
         assert_eq!(
             pruned.shards_scanned + pruned.shards_pruned,
             8,
@@ -351,7 +298,7 @@ fn full_prediction_runs_identical_on_dense_and_sharded() {
 #[test]
 fn family_cv_harness_identical_across_backings_and_thread_counts() {
     // The wired read path end to end: the harness fans folds out across
-    // the worker pool with per-worker reader handles; reports must be
+    // the worker pool, each reading the shared view; reports must be
     // cell-for-cell identical on dense vs sharded at 1/2/4 threads.
     let dense = generate(&DatasetConfig::default()).expect("dataset");
     let sharded = ShardedPerfDatabase::from_dense(&dense, 4).expect("shardable");
