@@ -36,15 +36,17 @@ use datatrans_bench::harness::{parse_report, BenchRecord};
 
 /// Default allowed median growth before a watched benchmark fails the gate.
 const DEFAULT_THRESHOLD: f64 = 0.25;
-/// Default watched groups: the GA-kNN fitness kernel, top-k selection,
-/// the unrolled-kernel and tiled-builder comparisons, the database layer's
-/// scale queries, shard scans, and streaming ingest, and the serving
-/// layer's batched ranking queries, result cache, bootstrap rank CIs, the
-/// confidence-annex serving path, the TCP front end's loopback round trip
-/// vs in-process serving, the PCA-bucketed approximate fast path vs exact
-/// serving, and the PCA fit/projection kernels behind the bucket index.
-const DEFAULT_GROUPS: &str = "ga_fitness,knn_topk,gemv_unrolled,sqdiff_tiled,scale_fused,\
-                              db_query,db_shard_scan,query_batch,\
+/// Default watched groups: the three predictors (NNᵀ, MLPᵀ, GA-kNN — the
+/// model layer every miss pays for), the GA-kNN fitness kernel, top-k
+/// selection, the unrolled-kernel and tiled-builder comparisons, the
+/// database layer's scale queries, shard scans, and streaming ingest, and
+/// the serving layer's batched ranking queries, result cache, bootstrap
+/// rank CIs, the confidence-annex serving path, the TCP front end's
+/// loopback round trip vs in-process serving, the PCA-bucketed approximate
+/// fast path vs exact serving, and the PCA fit/projection kernels behind
+/// the bucket index.
+const DEFAULT_GROUPS: &str = "predictors,ga_fitness,knn_topk,gemv_unrolled,sqdiff_tiled,\
+                              scale_fused,db_query,db_shard_scan,query_batch,\
                               serve_cache,db_ingest,rank_ci,serve_noisy,net_serve,\
                               serve_approx,pca_project";
 

@@ -17,13 +17,18 @@
 //! and are additionally written as machine-readable JSON (one
 //! `BENCH_<bench>.json` per bench binary, overridable via the
 //! `DATATRANS_BENCH_JSON` environment variable) so the perf trajectory can
-//! be tracked across commits.
+//! be tracked across commits. Each report opens with a `host` object (core
+//! count and resolved worker threads), so a number carries the machine
+//! that measured it.
 //!
 //! [`criterion_group!`]: crate::criterion_group
 //! [`criterion_main!`]: crate::criterion_main
 
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
+
+use datatrans_parallel::Parallelism;
 
 /// Maximum time spent warming one benchmark up.
 const WARMUP_BUDGET: Duration = Duration::from_millis(300);
@@ -138,9 +143,16 @@ impl Criterion {
         &self.records
     }
 
-    /// The machine-readable report for every benchmark run so far.
+    /// The machine-readable report for every benchmark run so far, headed
+    /// by the host it ran on: `nproc` (the cores the process may use) and
+    /// `datatrans_threads` (the worker count [`Parallelism::Auto`] resolves
+    /// to, i.e. `DATATRANS_THREADS` or `nproc`).
     pub fn json_report(&self) -> String {
-        let mut out = String::from("{\n  \"results\": [\n");
+        let nproc = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let mut out = format!(
+            "{{\n  \"host\": {{\"nproc\": {nproc}, \"datatrans_threads\": {}}},\n  \"results\": [\n",
+            Parallelism::Auto.thread_count()
+        );
         for (i, r) in self.records.iter().enumerate() {
             let comma = if i + 1 < self.records.len() { "," } else { "" };
             out.push_str(&format!(
@@ -294,7 +306,8 @@ impl Bencher {
 /// This is deliberately *not* a general JSON parser: it reads exactly the
 /// one-record-per-object shape the harness emits (and `bench_diff`
 /// compares), and rejects anything it cannot account for rather than
-/// silently misreading a hand-edited baseline.
+/// silently misreading a hand-edited baseline. The `host` header carries
+/// no `id` and is skipped, so reports with and without it parse alike.
 ///
 /// # Errors
 ///
@@ -590,8 +603,22 @@ mod tests {
         // mistaken for record boundaries.
         group.bench_function("cfg{8}/v\\2", |b| b.iter(|| std::hint::black_box(4 * 4)));
         group.finish();
-        let parsed = parse_report(&c.json_report()).expect("round trip");
+        let json = c.json_report();
+        let threads = Parallelism::Auto.thread_count();
+        assert!(
+            json.starts_with("{\n  \"host\": {\"nproc\": ")
+                && json.contains(&format!("\"datatrans_threads\": {threads}}}")),
+            "report must open with the host stamp:\n{json}"
+        );
+        let parsed = parse_report(&json).expect("round trip");
         assert_eq!(parsed, c.records());
+        // A report without the host stamp (every baseline written before
+        // it) parses to the same records.
+        let (_, unstamped) = json.split_once("},\n").expect("host line");
+        assert_eq!(
+            parse_report(&format!("{{\n{unstamped}")).unwrap(),
+            c.records()
+        );
     }
 
     #[test]

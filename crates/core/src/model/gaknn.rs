@@ -20,7 +20,7 @@
 use datatrans_linalg::{kernels, Matrix};
 use datatrans_ml::ga::{GaConfig, GeneticAlgorithm};
 use datatrans_ml::knn::{
-    combine_targets_with, select_k_nearest, KnnIndex, Neighbor, NeighborWeighting,
+    combine_rows_into, select_k_nearest, KnnIndex, Neighbor, NeighborWeighting,
 };
 use datatrans_ml::scale::StandardScaler;
 
@@ -113,9 +113,9 @@ impl GaKnn {
         let mut ga_config = self.config.ga.clone();
         ga_config.seed ^= task.seed;
         let ga = GeneticAlgorithm::new(dims, (0.0, 1.0), ga_config)?;
-        // Each fitness worker owns one scratch (distance buffer + neighbour
-        // list), so a parallel population sweep re-weights the pairwise
-        // matrix without a single per-evaluation allocation.
+        // Each fitness worker owns one scratch (distances, neighbour list,
+        // prediction row), so a parallel population sweep re-weights the
+        // pairwise matrix without a single per-evaluation allocation.
         let result = ga.run_with(
             || fitness_ctx.scratch(),
             |scratch, w| -fitness_ctx.loo_error(w, scratch),
@@ -123,20 +123,18 @@ impl GaKnn {
         let weights = result.best_genome;
 
         // Final prediction: the app's k nearest benchmarks under the
-        // learned weights — one buffer-reusing index query — combined per
-        // target machine straight from a column view of the score matrix.
+        // learned weights, combined over their score rows for every target
+        // machine at once — the same combine the fitness loop uses.
         let index = KnnIndex::fit_weighted(train_chars, weights.clone())?;
         let mut neighbors = Vec::with_capacity(b);
         index.nearest_into(&app_chars, k, &mut neighbors)?;
-        let mut predictions = Vec::with_capacity(task.n_targets());
-        for t in 0..task.n_targets() {
-            let scores = task.train_target.col_view(t);
-            predictions.push(combine_targets_with(
-                &neighbors,
-                |i| scores.at(i),
-                self.config.weighting,
-            ));
-        }
+        let mut predictions = vec![0.0; task.n_targets()];
+        combine_rows_into(
+            &neighbors,
+            &task.train_target,
+            self.config.weighting,
+            &mut predictions,
+        );
         Ok((predictions, weights))
     }
 }
@@ -172,63 +170,67 @@ struct FitnessContext<'a> {
     weighting: NeighborWeighting,
 }
 
-/// Per-worker working memory for [`FitnessContext::loo_error`]: the
-/// GEMV output (all `b²` weighted squared distances) and the neighbour
-/// list, both reused across every evaluation a worker performs.
+/// Per-worker working memory for [`FitnessContext::loo_error`]: every
+/// pairwise weighted distance (`b × b`, mirrored), the neighbour list and
+/// one row of predictions, all reused across every evaluation a worker
+/// performs.
 struct LooScratch {
-    sq_dist: Vec<f64>,
+    dist: Vec<f64>,
     neighbors: Vec<Neighbor>,
+    pred: Vec<f64>,
 }
 
 impl FitnessContext<'_> {
     /// A scratch sized for this context, one per fitness worker.
     fn scratch(&self) -> LooScratch {
-        let b = self.scores.rows();
+        let (b, t) = self.scores.shape();
         LooScratch {
-            sq_dist: vec![0.0; b * b],
+            dist: vec![0.0; b * b],
             neighbors: Vec::with_capacity(b),
+            pred: vec![0.0; t],
         }
     }
 
     /// Leave-one-out mean relative error of kNN predictions of each
     /// training benchmark's scores on the target machines.
     ///
-    /// The whole evaluation's distance work is **one GEMV**: the flat
-    /// `(b·b) × d` squared-difference matrix times the weight vector fills
-    /// `scratch.sq_dist` with every pairwise weighted squared distance,
-    /// replacing the former per-pair scalar loop. Each GEMV row reduces
-    /// over the fixed 4-lane summation tree of
-    /// [`datatrans_linalg::kernels`] — results are deterministic (the tree
-    /// is pinned by the kernel tests). When the tree replaced the
-    /// sequential per-row order the golden GA-kNN snapshot in
-    /// `tests/determinism.rs` did not move: fitness values enter the GA
-    /// only through comparisons, and none flipped.
+    /// Distances: rows `i·b + j` and `j·b + i` of the squared-difference
+    /// matrix are equal, so each unordered pair's weighted distance is one
+    /// [`kernels::dot_unrolled`] (the fixed 4-lane tree of a GEMV row),
+    /// rooted once and mirrored. Predictions: each held-out benchmark's
+    /// neighbours are combined over their contiguous score rows for every
+    /// target at once ([`combine_rows_into`]), and the error sum runs in
+    /// (held, target) order. Both give the bits of the per-row GEMV and the
+    /// per-target column combine they replaced; the `#[cfg(test)]`
+    /// reference below proves it.
     fn loo_error(&self, weights: &[f64], scratch: &mut LooScratch) -> f64 {
         let b = self.scores.rows();
-        let t = self.scores.cols();
-        self.sq_diffs
-            .mul_vec_into(weights, &mut scratch.sq_dist)
-            .expect("scratch sized for context");
+        let LooScratch {
+            dist,
+            neighbors,
+            pred,
+        } = scratch;
+        for i in 0..b {
+            for j in (i + 1)..b {
+                let d = kernels::dot_unrolled(self.sq_diffs.row(i * b + j), weights).sqrt();
+                dist[i * b + j] = d;
+                dist[j * b + i] = d;
+            }
+        }
         let mut total = 0.0;
         let mut count = 0usize;
         for held in 0..b {
-            // Neighbours among the other benchmarks; distances read the
-            // precomputed GEMV block for this held-out row.
-            let held_dists = &scratch.sq_dist[held * b..(held + 1) * b];
-            let neighbors = &mut scratch.neighbors;
+            let held_dists = &dist[held * b..(held + 1) * b];
             neighbors.clear();
             neighbors.extend((0..b).filter(|&i| i != held).map(|i| Neighbor {
                 index: i,
-                distance: held_dists[i].sqrt(),
+                distance: held_dists[i],
             }));
             select_k_nearest(neighbors, self.k);
-
-            for tj in 0..t {
-                let scores = self.scores.col_view(tj);
-                let pred = combine_targets_with(neighbors, |i| scores.at(i), self.weighting);
-                let actual = scores.at(held);
+            combine_rows_into(neighbors, self.scores, self.weighting, pred);
+            for (&p, &actual) in pred.iter().zip(self.scores.row(held)) {
                 if actual > 0.0 {
-                    total += (pred - actual).abs() / actual;
+                    total += (p - actual).abs() / actual;
                     count += 1;
                 }
             }
@@ -245,6 +247,224 @@ impl FitnessContext<'_> {
 mod tests {
     use super::*;
     use datatrans_ml::ga::GaConfig;
+    use datatrans_ml::knn::combine_targets_with;
+    use datatrans_rng::rngs::StdRng;
+    use datatrans_rng::{Rng, SeedableRng};
+
+    const WEIGHTINGS: [NeighborWeighting; 2] = [
+        NeighborWeighting::Uniform,
+        NeighborWeighting::InverseDistance,
+    ];
+
+    /// The fitness loop before the row combine, kept as the specification
+    /// of [`FitnessContext::loo_error`]: one GEMV over all `b²`
+    /// squared-difference rows, then a per-target [`combine_targets_with`]
+    /// down each strided score column.
+    fn loo_error_reference(ctx: &FitnessContext<'_>, weights: &[f64]) -> f64 {
+        let b = ctx.scores.rows();
+        let t = ctx.scores.cols();
+        let mut sq_dist = vec![0.0; b * b];
+        ctx.sq_diffs
+            .mul_vec_into(weights, &mut sq_dist)
+            .expect("sized for the context");
+        let mut neighbors = Vec::with_capacity(b);
+        let mut total = 0.0;
+        let mut count = 0usize;
+        for held in 0..b {
+            let held_dists = &sq_dist[held * b..(held + 1) * b];
+            neighbors.clear();
+            neighbors.extend((0..b).filter(|&i| i != held).map(|i| Neighbor {
+                index: i,
+                distance: held_dists[i].sqrt(),
+            }));
+            select_k_nearest(&mut neighbors, ctx.k);
+            for tj in 0..t {
+                let scores = ctx.scores.col_view(tj);
+                let pred = combine_targets_with(&neighbors, |i| scores.at(i), ctx.weighting);
+                let actual = scores.at(held);
+                if actual > 0.0 {
+                    total += (pred - actual).abs() / actual;
+                    count += 1;
+                }
+            }
+        }
+        if count == 0 {
+            f64::INFINITY
+        } else {
+            total / count as f64
+        }
+    }
+
+    /// A seeded fitness problem: the squared-difference matrix of `b`
+    /// random characteristic rows of `d` dims, every third row a copy of
+    /// the one before it (equal distances exercise the index tie-break),
+    /// and a `b × t` score matrix with zero and negative cells (skipped).
+    fn seeded_problem(seed: u64, b: usize, t: usize, d: usize) -> (Matrix, Matrix) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut chars = Matrix::from_fn(b, d, |_, _| rng.gen_range(-2.0..2.0));
+        for i in (2..b).step_by(3) {
+            for dim in 0..d {
+                chars[(i, dim)] = chars[(i - 1, dim)];
+            }
+        }
+        let scores = Matrix::from_fn(b, t, |i, tj| match (i * t + tj) % 7 {
+            3 => 0.0,
+            5 => -rng.gen_range(0.5..5.0),
+            _ => rng.gen_range(1.0..80.0),
+        });
+        (pairwise_sq_diffs(&chars), scores)
+    }
+
+    /// `n` weight vectors of `d` dims: all-zero, all-one, then random ones
+    /// in `[0, 1)` with every fifth dimension zeroed.
+    fn seeded_weights(seed: u64, n: usize, d: usize) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut out = vec![vec![0.0; d], vec![1.0; d]];
+        while out.len() < n {
+            let j0 = out.len() % 5;
+            out.push(
+                (0..d)
+                    .map(|j| {
+                        let w = rng.gen_range(0.0..1.0);
+                        if j % 5 == j0 {
+                            0.0
+                        } else {
+                            w
+                        }
+                    })
+                    .collect(),
+            );
+        }
+        out
+    }
+
+    fn assert_fitness_matches_reference(ctx: &FitnessContext<'_>, weights: &[Vec<f64>]) {
+        let mut scratch = ctx.scratch();
+        for (wi, w) in weights.iter().enumerate() {
+            let fast = ctx.loo_error(w, &mut scratch);
+            let reference = loo_error_reference(ctx, w);
+            assert_eq!(
+                fast.to_bits(),
+                reference.to_bits(),
+                "b={} t={} k={} {:?} weights #{wi}: {fast} vs {reference}",
+                ctx.scores.rows(),
+                ctx.scores.cols(),
+                ctx.k,
+                ctx.weighting
+            );
+        }
+    }
+
+    #[test]
+    fn loo_error_matches_reference_bitwise_across_shapes() {
+        for b in [2, 3, 12, 28, 29] {
+            for t in [1, 5, 26, 52] {
+                let d = 3 + (b + t) % 6;
+                let (sq_diffs, scores) = seeded_problem((b * 100 + t) as u64, b, t, d);
+                let weights = seeded_weights(b as u64 ^ 0x5eed, 6, d);
+                let mut ks = vec![1, 4, 10, b - 1];
+                ks.retain(|&k| k < b);
+                ks.dedup();
+                for k in ks {
+                    for weighting in WEIGHTINGS {
+                        let ctx = FitnessContext {
+                            sq_diffs: &sq_diffs,
+                            scores: &scores,
+                            k,
+                            weighting,
+                        };
+                        assert_fitness_matches_reference(&ctx, &weights);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn loo_error_matches_reference_bitwise_over_200_weight_vectors() {
+        let d = 11;
+        let (sq_diffs, scores) = seeded_problem(42, 28, 26, d);
+        let weights = seeded_weights(43, 200, d);
+        for weighting in WEIGHTINGS {
+            let ctx = FitnessContext {
+                sq_diffs: &sq_diffs,
+                scores: &scores,
+                k: 10,
+                weighting,
+            };
+            assert_fitness_matches_reference(&ctx, &weights);
+        }
+    }
+
+    #[test]
+    fn loo_error_is_infinite_when_every_actual_is_non_positive() {
+        let d = 4;
+        let (sq_diffs, scores) = seeded_problem(7, 12, 5, d);
+        let scores = scores.map(|v| -v.abs());
+        for weighting in WEIGHTINGS {
+            let ctx = FitnessContext {
+                sq_diffs: &sq_diffs,
+                scores: &scores,
+                k: 4,
+                weighting,
+            };
+            for w in seeded_weights(8, 4, d) {
+                let fast = ctx.loo_error(&w, &mut ctx.scratch());
+                assert_eq!(fast, f64::INFINITY);
+                assert_eq!(fast.to_bits(), loo_error_reference(&ctx, &w).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn final_combine_matches_per_target_column_combine_bitwise() {
+        let mut tasks = vec![structured_task()];
+        for seed in [1, 2] {
+            let (b, t, d) = (14, 9, 5);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut task = structured_task();
+            task.train_target = Matrix::from_fn(b, t, |_, _| rng.gen_range(1.0..80.0));
+            task.train_predictive = Matrix::from_fn(b, 2, |_, _| rng.gen_range(1.0..80.0));
+            task.train_characteristics = Matrix::from_fn(b, d, |_, _| rng.gen_range(-1.0..1.0));
+            task.app_characteristics = (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            task.seed = seed;
+            tasks.push(task);
+        }
+        for task in &tasks {
+            for weighting in WEIGHTINGS {
+                let gaknn = GaKnn {
+                    config: GaKnnConfig {
+                        weighting,
+                        ..quick_config()
+                    },
+                };
+                let (pred, weights) = gaknn.predict_with_weights(task).unwrap();
+                let scaler = StandardScaler::fit(&task.train_characteristics).unwrap();
+                let train_chars = scaler.transform(&task.train_characteristics).unwrap();
+                let app_chars: Vec<f64> = task
+                    .app_characteristics
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &v)| scaler.transform_value(j, v))
+                    .collect();
+                let k = gaknn.config.k.min(task.n_benchmarks() - 1);
+                let neighbors = KnnIndex::fit_weighted(train_chars, weights)
+                    .unwrap()
+                    .nearest(&app_chars, k)
+                    .unwrap();
+                assert_eq!(pred.len(), task.n_targets());
+                for (tj, p) in pred.iter().enumerate() {
+                    let scores = task.train_target.col_view(tj);
+                    let reference = combine_targets_with(&neighbors, |i| scores.at(i), weighting);
+                    assert_eq!(
+                        p.to_bits(),
+                        reference.to_bits(),
+                        "{weighting:?} target {tj}"
+                    );
+                }
+            }
+        }
+    }
 
     /// A task where one characteristic dimension perfectly explains score
     /// scale and another is pure noise: GA should exploit the informative

@@ -7,6 +7,7 @@
 //! best with the performance of the chosen predictive machine"). The app's
 //! score on the target is then read off that single model.
 
+use datatrans_linalg::{kernels, Matrix};
 use datatrans_ml::linreg::SimpleLinearRegression;
 
 use crate::model::Predictor;
@@ -63,27 +64,46 @@ impl NnT {
         let tf = |v: f64| if self.log_domain { v.ln() } else { v };
         let inv = |v: f64| if self.log_domain { v.exp() } else { v };
 
-        // The regressions consume strided column views of the score
-        // matrices directly — no per-column buffer is materialized. In log
-        // domain the transform is applied once into owned matrices so the
-        // p × t regression sweep does not recompute `ln` per pair.
+        // In log domain the transform is applied once into owned matrices
+        // so the regression sweep does not recompute `ln` per pair.
         let (pred_owned, targ_owned);
         let (pred_scores, targ_scores) = if self.log_domain {
-            pred_owned = task.train_predictive.view().map(tf);
-            targ_owned = task.train_target.view().map(tf);
-            (pred_owned.view(), targ_owned.view())
+            pred_owned = task.train_predictive.map(tf);
+            targ_owned = task.train_target.map(tf);
+            (&pred_owned, &targ_owned)
         } else {
-            (task.train_predictive.view(), task.train_target.view())
+            (&task.train_predictive, &task.train_target)
         };
         let app_pred: Vec<f64> = task.app_predictive.iter().map(|&v| tf(v)).collect();
 
+        // A non-finite target cell fails every regression of its target,
+        // which then has no fit. A non-finite predictive column fails every
+        // regression of its machine, so the machine is skipped (a constant
+        // one is skipped below); with none left, no target has a fit.
+        let no_fit = || CoreError::invalid_task("no predictive machine admits a regression fit");
+        if !targ_scores.all_finite() {
+            return Err(no_fit());
+        }
+        let columns: Vec<PredictiveColumn> = (0..p)
+            .filter_map(|pj| PredictiveColumn::new(pred_scores, pj))
+            .collect();
+        if columns.is_empty() {
+            return Err(no_fit());
+        }
+        let moments = TargetMoments::sweep(targ_scores, &columns);
+
         let mut out = Vec::with_capacity(t);
         for tj in 0..t {
-            let y = targ_scores.col_view(tj);
             let mut best: Option<(f64, usize, SimpleLinearRegression)> = None;
-            for pj in 0..p {
-                let x = pred_scores.col_view(pj);
-                let Ok(fit) = SimpleLinearRegression::fit_pairs(x.iter().zip(y.iter())) else {
+            for (c, column) in columns.iter().enumerate() {
+                let Ok(fit) = SimpleLinearRegression::from_moments(
+                    b,
+                    column.mean,
+                    moments.mean[tj],
+                    column.sxx,
+                    moments.sxy[c * t + tj],
+                    moments.syy[tj],
+                ) else {
                     continue; // constant predictive column — skip
                 };
                 let quality = match self.criterion {
@@ -91,12 +111,10 @@ impl NnT {
                     FitCriterion::ResidualStd => -fit.residual_std(),
                 };
                 if best.as_ref().is_none_or(|(q, _, _)| quality > *q) {
-                    best = Some((quality, pj, fit));
+                    best = Some((quality, column.index, fit));
                 }
             }
-            let (_, pj, fit) = best.ok_or_else(|| {
-                CoreError::invalid_task("no predictive machine admits a regression fit")
-            })?;
+            let (_, pj, fit) = best.ok_or_else(no_fit)?;
             let raw = fit.predict(app_pred[pj]);
             // A ratio prediction below zero is meaningless; clamp to a tiny
             // positive value so downstream ranking metrics stay defined.
@@ -104,6 +122,86 @@ impl NnT {
             out.push((score, pj));
         }
         Ok(out)
+    }
+}
+
+/// One finite predictive machine's side of every regression it enters:
+/// its column mean, centred scores and `sxx`, each summed in benchmark
+/// order exactly as [`SimpleLinearRegression::fit_pairs`] sums them.
+struct PredictiveColumn {
+    /// Column of the machine in the task's predictive matrix.
+    index: usize,
+    mean: f64,
+    centred: Vec<f64>,
+    sxx: f64,
+}
+
+impl PredictiveColumn {
+    /// `None` if the column holds a non-finite score, which fails every
+    /// regression on this machine.
+    fn new(scores: &Matrix, index: usize) -> Option<Self> {
+        let x = scores.col_view(index);
+        if !x.iter().all(f64::is_finite) {
+            return None;
+        }
+        let mut sum = 0.0;
+        for v in x.iter() {
+            sum += v;
+        }
+        let mean = sum / x.len() as f64;
+        let centred: Vec<f64> = x.iter().map(|v| v - mean).collect();
+        let mut sxx = 0.0;
+        for c in &centred {
+            sxx += c * c;
+        }
+        Some(PredictiveColumn {
+            index,
+            mean,
+            centred,
+            sxx,
+        })
+    }
+}
+
+/// The target side of every (target, predictive column) regression, from
+/// two sweeps over the contiguous rows of the target matrix: per-target
+/// means, `syy`, and the cross sums `sxy` of every column (row-major,
+/// `columns × targets`). Each accumulator adds its terms in benchmark
+/// order, so every moment equals the one `fit_pairs` computes for the same
+/// pair, bit for bit.
+struct TargetMoments {
+    mean: Vec<f64>,
+    syy: Vec<f64>,
+    sxy: Vec<f64>,
+}
+
+impl TargetMoments {
+    fn sweep(targets: &Matrix, columns: &[PredictiveColumn]) -> Self {
+        let (b, t) = targets.shape();
+        let mut mean = vec![0.0; t];
+        for row in targets.iter_rows() {
+            for (s, v) in mean.iter_mut().zip(row) {
+                *s += v;
+            }
+        }
+        for s in &mut mean {
+            *s /= b as f64;
+        }
+        let mut syy = vec![0.0; t];
+        let mut sxy = vec![0.0; columns.len() * t];
+        let mut centred = vec![0.0; t];
+        for (i, row) in targets.iter_rows().enumerate() {
+            for ((c, v), m) in centred.iter_mut().zip(row).zip(&mean) {
+                *c = v - m;
+            }
+            for (s, c) in syy.iter_mut().zip(&centred) {
+                *s += c * c;
+            }
+            for (acc, column) in sxy.chunks_exact_mut(t).zip(columns) {
+                kernels::axpy(acc, column.centred[i], &centred);
+            }
+        }
+        TargetMoments { mean, syy, sxy }
     }
 }
 
@@ -124,7 +222,166 @@ impl Predictor for NnT {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datatrans_linalg::Matrix;
+    use datatrans_rng::rngs::StdRng;
+    use datatrans_rng::{Rng, SeedableRng};
+
+    /// The per-pair regression loop before the row sweep, kept as the
+    /// specification of [`NnT::predict_with_neighbors`]: one `fit_pairs`
+    /// on two strided column views for every (target, predictive) pair.
+    fn predict_reference(nnt: &NnT, task: &PredictionTask) -> Result<Vec<(f64, usize)>> {
+        task.validate()?;
+        if task.n_benchmarks() < 3 {
+            return Err(CoreError::invalid_task(
+                "NN^T needs at least 3 training benchmarks",
+            ));
+        }
+        let tf = |v: f64| if nnt.log_domain { v.ln() } else { v };
+        let inv = |v: f64| if nnt.log_domain { v.exp() } else { v };
+        let pred_scores = task.train_predictive.view().map(tf);
+        let targ_scores = task.train_target.view().map(tf);
+        let app_pred: Vec<f64> = task.app_predictive.iter().map(|&v| tf(v)).collect();
+        let mut out = Vec::with_capacity(task.n_targets());
+        for tj in 0..task.n_targets() {
+            let y = targ_scores.col_view(tj);
+            let mut best: Option<(f64, usize, SimpleLinearRegression)> = None;
+            for pj in 0..task.n_predictive() {
+                let x = pred_scores.col_view(pj);
+                let Ok(fit) = SimpleLinearRegression::fit_pairs(x.iter().zip(y.iter())) else {
+                    continue;
+                };
+                let quality = match nnt.criterion {
+                    FitCriterion::RSquared => fit.r_squared(),
+                    FitCriterion::ResidualStd => -fit.residual_std(),
+                };
+                if best.as_ref().is_none_or(|(q, _, _)| quality > *q) {
+                    best = Some((quality, pj, fit));
+                }
+            }
+            let (_, pj, fit) = best.ok_or_else(|| {
+                CoreError::invalid_task("no predictive machine admits a regression fit")
+            })?;
+            out.push((inv(fit.predict(app_pred[pj])).max(1e-6), pj));
+        }
+        Ok(out)
+    }
+
+    /// A seeded task whose targets are noisy multiples of a random mix of
+    /// the predictive machines; predictive column 2 (when present)
+    /// duplicates column 0, so their fits tie exactly.
+    fn seeded_task(seed: u64, b: usize, p: usize, t: usize) -> PredictionTask {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut train_predictive = Matrix::from_fn(b, p, |_, _| rng.gen_range(2.0..90.0));
+        if p > 2 {
+            for i in 0..b {
+                train_predictive[(i, 2)] = train_predictive[(i, 0)];
+            }
+        }
+        let train_target = Matrix::from_fn(b, t, |i, tj| {
+            let src = train_predictive[(i, (tj * 7 + 3) % p)];
+            (0.4 + 0.1 * (tj % 5) as f64) * src * rng.gen_range(0.8..1.25) + rng.gen_range(0.0..3.0)
+        });
+        PredictionTask {
+            train_predictive,
+            train_target,
+            app_predictive: (0..p).map(|_| rng.gen_range(2.0..90.0)).collect(),
+            train_characteristics: Matrix::zeros(b, 2),
+            app_characteristics: vec![0.0, 0.0],
+            seed,
+        }
+    }
+
+    /// Every NNᵀ configuration: both criteria, linear and log domain.
+    fn configurations() -> Vec<NnT> {
+        let mut out = Vec::new();
+        for criterion in [FitCriterion::RSquared, FitCriterion::ResidualStd] {
+            for log_domain in [false, true] {
+                out.push(NnT {
+                    criterion,
+                    log_domain,
+                });
+            }
+        }
+        out
+    }
+
+    fn assert_matches_reference(task: &PredictionTask, what: &str) {
+        for nnt in configurations() {
+            let fast = nnt.predict_with_neighbors(task);
+            let reference = predict_reference(&nnt, task);
+            match (&fast, &reference) {
+                (Ok(fast), Ok(reference)) => {
+                    assert_eq!(fast.len(), reference.len(), "{what} {nnt:?}");
+                    for (tj, (f, r)) in fast.iter().zip(reference).enumerate() {
+                        assert_eq!(f.1, r.1, "{what} {nnt:?} target {tj}: chosen machine");
+                        assert_eq!(f.0.to_bits(), r.0.to_bits(), "{what} {nnt:?} target {tj}");
+                    }
+                }
+                (Err(fast), Err(reference)) => {
+                    assert_eq!(fast.to_string(), reference.to_string(), "{what} {nnt:?}");
+                }
+                _ => panic!("{what} {nnt:?}: {fast:?} vs reference {reference:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn row_sweep_matches_per_pair_reference_bitwise() {
+        let mut seed = 0;
+        for b in [3, 4, 9, 28] {
+            for p in [1, 3, 8] {
+                for t in [1, 6, 33] {
+                    seed += 1;
+                    let task = seeded_task(seed, b, p, t);
+                    assert_matches_reference(&task, &format!("b={b} p={p} t={t}"));
+                }
+            }
+        }
+        let task = seeded_task(99, 28, 8, 600);
+        let chosen = NnT::default().predict_with_neighbors(&task).unwrap();
+        assert!(
+            chosen.iter().all(|&(_, pj)| pj != 2),
+            "the duplicate of column 0 never wins a tie"
+        );
+    }
+
+    #[test]
+    fn row_sweep_matches_reference_on_constant_and_non_finite_columns() {
+        // A constant predictive column is skipped.
+        let mut task = seeded_task(5, 12, 4, 9);
+        for i in 0..12 {
+            task.train_predictive[(i, 1)] = 7.25;
+        }
+        assert_matches_reference(&task, "constant predictive column");
+        // Every predictive column constant: no fit for any target.
+        let mut all_constant = task.clone();
+        for i in 0..12 {
+            for pj in 0..4 {
+                all_constant.train_predictive[(i, pj)] = 3.0;
+            }
+        }
+        assert!(NnT::default().predict(&all_constant).is_err());
+        assert_matches_reference(&all_constant, "all predictive columns constant");
+        // A zero or negative score is non-finite in log domain: the
+        // predictive side skips the machine, the target side fails.
+        for (cell, v) in [((3, 0), 0.0), ((8, 2), -4.0)] {
+            let mut predictive = seeded_task(6, 12, 4, 9);
+            predictive.train_predictive[cell] = v;
+            assert_matches_reference(&predictive, &format!("predictive {cell:?} = {v}"));
+            let mut target = seeded_task(7, 12, 4, 9);
+            target.train_target[cell] = v;
+            assert!(NnT {
+                log_domain: true,
+                ..NnT::default()
+            }
+            .predict(&target)
+            .is_err());
+            assert_matches_reference(&target, &format!("target {cell:?} = {v}"));
+        }
+        // A NaN fails validation on both paths.
+        let mut nan = seeded_task(8, 12, 4, 9);
+        nan.train_target[(1, 1)] = f64::NAN;
+        assert_matches_reference(&nan, "NaN target cell");
+    }
 
     /// A synthetic task where target machine 0 is an exact linear function
     /// of predictive machine 1.

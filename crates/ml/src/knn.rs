@@ -234,6 +234,10 @@ pub fn select_k_nearest(neighbors: &mut Vec<Neighbor>, k: usize) {
     neighbors.sort_unstable_by(neighbor_cmp);
 }
 
+/// Offset added to every distance before inverting it, so an exact match
+/// (distance 0) gets a large finite weight instead of an infinite one.
+const INVERSE_DISTANCE_EPS: f64 = 1e-9;
+
 /// Combines neighbour targets per the chosen weighting scheme.
 pub fn combine_targets(
     neighbors: &[Neighbor],
@@ -260,16 +264,52 @@ pub fn combine_targets_with(
             neighbors.iter().map(|n| target_of(n.index)).sum::<f64>() / neighbors.len() as f64
         }
         NeighborWeighting::InverseDistance => {
-            const EPS: f64 = 1e-9;
             let mut num = 0.0;
             let mut den = 0.0;
             for n in neighbors {
-                let w = 1.0 / (n.distance + EPS);
+                let w = 1.0 / (n.distance + INVERSE_DISTANCE_EPS);
                 num += w * target_of(n.index);
                 den += w;
             }
             num / den
         }
+    }
+}
+
+/// [`combine_targets_with`] for every column of `targets` at once:
+/// `out[j]` becomes the combination of column `j` over the neighbours'
+/// rows (`out.len() == targets.cols()`).
+///
+/// The weights and their denominator are computed once, and each
+/// neighbour's contiguous row is accumulated with one [`kernels::axpy`],
+/// in neighbour order. Every `out[j]` is therefore the same sum of the same
+/// products in the same order as [`combine_targets_with`] on column `j`,
+/// and equal to it bit for bit. Uniform rows start from −0.0 because
+/// `f64`'s `Sum` does; the inverse-distance accumulator starts from 0.0.
+///
+/// # Panics
+///
+/// Panics if `out.len() != targets.cols()` or a neighbour index is not a
+/// row of `targets`.
+pub fn combine_rows_into(
+    neighbors: &[Neighbor],
+    targets: &Matrix,
+    weighting: NeighborWeighting,
+    out: &mut [f64],
+) {
+    let (start, weight): (f64, fn(&Neighbor) -> f64) = match weighting {
+        NeighborWeighting::Uniform => (-0.0, |_| 1.0),
+        NeighborWeighting::InverseDistance => (0.0, |n| 1.0 / (n.distance + INVERSE_DISTANCE_EPS)),
+    };
+    out.fill(start);
+    let mut den = 0.0;
+    for n in neighbors {
+        let w = weight(n);
+        kernels::axpy(out, w, targets.row(n.index));
+        den += w;
+    }
+    for v in out.iter_mut() {
+        *v /= den;
     }
 }
 
@@ -442,6 +482,40 @@ mod tests {
         }];
         select_k_nearest(&mut neighbors, 0);
         assert!(neighbors.is_empty());
+    }
+
+    #[test]
+    fn combine_rows_into_matches_per_column_combine_bitwise() {
+        // Column 0 is all −0.0 (the sign a uniform `Sum` keeps), column 1
+        // mixes signs; neighbour 2 is an exact match (distance 0).
+        let targets = Matrix::from_fn(6, 5, |i, j| match j {
+            0 => -0.0,
+            1 => (i as f64 - 2.5) * 3.25,
+            _ => ((i * 7 + j * 3) % 11) as f64 * 0.37 + 0.01,
+        });
+        let neighbors: Vec<Neighbor> = [(4, 0.75), (2, 0.0), (5, 0.75), (0, 1.5)]
+            .iter()
+            .map(|&(index, distance)| Neighbor { index, distance })
+            .collect();
+        for weighting in [
+            NeighborWeighting::Uniform,
+            NeighborWeighting::InverseDistance,
+        ] {
+            for k in 1..=neighbors.len() {
+                let mut out = vec![f64::NAN; targets.cols()];
+                combine_rows_into(&neighbors[..k], &targets, weighting, &mut out);
+                for (j, v) in out.iter().enumerate() {
+                    let column = targets.col_view(j);
+                    let reference =
+                        combine_targets_with(&neighbors[..k], |i| column.at(i), weighting);
+                    assert_eq!(
+                        v.to_bits(),
+                        reference.to_bits(),
+                        "{weighting:?} k={k} col {j}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

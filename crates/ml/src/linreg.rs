@@ -52,11 +52,11 @@ impl SimpleLinearRegression {
 
     /// Fits the regression on an iterator of `(x, y)` pairs.
     ///
-    /// This is the zero-copy entry point: the NNᵀ hot path feeds it pairs of
-    /// strided matrix-column views directly, so no per-column buffer is ever
-    /// materialized. The iterator must be `Clone` because the fit makes two
-    /// passes (means, then centered moments; the residual sum falls out of
-    /// the moments algebraically).
+    /// This is the zero-copy entry point: pairs of strided matrix-column
+    /// views can be fed directly, so no per-column buffer is materialized.
+    /// The iterator must be `Clone` because the fit makes two passes
+    /// (means, then centered moments; the residual sum falls out of the
+    /// moments algebraically).
     ///
     /// # Errors
     ///
@@ -87,9 +87,27 @@ impl SimpleLinearRegression {
             sxy += (xi - mx) * (yi - my);
             syy += (yi - my) * (yi - my);
         }
+        Self::from_moments(n, mx, my, sxx, sxy, syy)
+    }
+
+    /// Finishes a fit from its moments: `n` points with means `mx`, `my`
+    /// and centred sums `sxx = Σ(x−mx)²`, `sxy = Σ(x−mx)(y−my)`,
+    /// `syy = Σ(y−my)²`.
+    ///
+    /// [`SimpleLinearRegression::fit_pairs`] ends here. A caller that
+    /// accumulates the moments itself — NNᵀ computes each predictive
+    /// column's `mx` and `sxx` once for every target — gets the bits of
+    /// `fit_pairs` as long as each sum adds the same terms in the same
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`MlError::InvalidInput`] if `sxx == 0` (`x` is constant).
+    pub fn from_moments(n: usize, mx: f64, my: f64, sxx: f64, sxy: f64, syy: f64) -> Result<Self> {
         if sxx == 0.0 {
             return Err(MlError::invalid_input("x is constant"));
         }
+        let nf = n as f64;
         let slope = sxy / sxx;
         let intercept = my - slope * mx;
         // For the least-squares line, SS_res = syy − slope·sxy — no third

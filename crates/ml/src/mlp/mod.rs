@@ -331,7 +331,8 @@ impl MlpRegressor {
                 let (ps, pe) = bounds[li - 1];
                 &buf[ps..pe]
             };
-            let grad_len = self.layers[li].inputs;
+            // The first layer's input gradient would have no reader.
+            let grad_len = if li > 0 { self.layers[li].inputs } else { 0 };
             self.layers[li].backward(
                 layer_input,
                 &delta[..delta_len],

@@ -4,6 +4,7 @@
 //! owned by [`super::MlpScratch`]), so a forward/backward pass performs no
 //! allocation.
 
+use datatrans_linalg::kernels;
 use datatrans_rng::rngs::StdRng;
 use datatrans_rng::Rng;
 
@@ -65,7 +66,14 @@ impl Layer {
     /// gradient with respect to this layer's *inputs* (i.e. the next `delta`
     /// for the upstream layer, before multiplying by its activation
     /// derivative) is written into `input_grad`
-    /// (`input_grad.len() == self.inputs`).
+    /// (`input_grad.len() == self.inputs`), from the weights as they were
+    /// before this update. An empty `input_grad` skips that gradient — the
+    /// first layer's is never read — and leaves the update bit-identical.
+    ///
+    /// Each weight row is updated over zipped slices with the step
+    /// `-learning_rate * d` hoisted, the same expression per weight as the
+    /// per-index loop it replaced, so the loop vectorizes without changing
+    /// a bit.
     pub fn backward(
         &mut self,
         input: &[f64],
@@ -75,20 +83,27 @@ impl Layer {
         momentum: f64,
     ) {
         debug_assert_eq!(delta.len(), self.outputs);
-        debug_assert_eq!(input_grad.len(), self.inputs);
+        debug_assert_eq!(input.len(), self.inputs);
+        debug_assert!(input_grad.is_empty() || input_grad.len() == self.inputs);
         input_grad.fill(0.0);
-        for (o, &d) in delta.iter().enumerate() {
-            let row_start = o * self.inputs;
-            for i in 0..self.inputs {
-                let idx = row_start + i;
-                input_grad[i] += self.weights[idx] * d;
-                let update = -learning_rate * d * input[i] + momentum * self.weight_velocity[idx];
-                self.weight_velocity[idx] = update;
-                self.weights[idx] += update;
+        let rows = self
+            .weights
+            .chunks_exact_mut(self.inputs)
+            .zip(self.weight_velocity.chunks_exact_mut(self.inputs));
+        let biases = self.biases.iter_mut().zip(&mut self.bias_velocity);
+        for (((weights, velocity), (bias, bias_velocity)), &d) in rows.zip(biases).zip(delta) {
+            if !input_grad.is_empty() {
+                kernels::axpy(input_grad, d, weights);
             }
-            let bias_update = -learning_rate * d + momentum * self.bias_velocity[o];
-            self.bias_velocity[o] = bias_update;
-            self.biases[o] += bias_update;
+            let step = -learning_rate * d;
+            for ((w, v), &x) in weights.iter_mut().zip(velocity.iter_mut()).zip(input) {
+                let update = step * x + momentum * *v;
+                *v = update;
+                *w += update;
+            }
+            let bias_update = step + momentum * *bias_velocity;
+            *bias_velocity = bias_update;
+            *bias += bias_update;
         }
     }
 }
@@ -136,6 +151,84 @@ mod tests {
         let layer = Layer::new(10, 10, Activation::Sigmoid, &mut rng);
         assert!(layer.weights.iter().all(|w| (-0.5..0.5).contains(w)));
         assert!(layer.biases.iter().all(|b| (-0.5..0.5).contains(b)));
+    }
+
+    /// The per-index backward loop before the row-slice rewrite, kept as
+    /// the specification of [`Layer::backward`].
+    fn backward_reference(
+        layer: &mut Layer,
+        input: &[f64],
+        delta: &[f64],
+        input_grad: &mut [f64],
+        learning_rate: f64,
+        momentum: f64,
+    ) {
+        input_grad.fill(0.0);
+        for (o, &d) in delta.iter().enumerate() {
+            let row_start = o * layer.inputs;
+            for i in 0..layer.inputs {
+                let idx = row_start + i;
+                input_grad[i] += layer.weights[idx] * d;
+                let update = -learning_rate * d * input[i] + momentum * layer.weight_velocity[idx];
+                layer.weight_velocity[idx] = update;
+                layer.weights[idx] += update;
+            }
+            let bias_update = -learning_rate * d + momentum * layer.bias_velocity[o];
+            layer.bias_velocity[o] = bias_update;
+            layer.biases[o] += bias_update;
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_layer_bits_eq(a: &Layer, b: &Layer, what: &str) {
+        assert_eq!(bits(&a.weights), bits(&b.weights), "{what}: weights");
+        assert_eq!(bits(&a.biases), bits(&b.biases), "{what}: biases");
+        assert_eq!(
+            bits(&a.weight_velocity),
+            bits(&b.weight_velocity),
+            "{what}: weight velocity"
+        );
+        assert_eq!(
+            bits(&a.bias_velocity),
+            bits(&b.bias_velocity),
+            "{what}: bias velocity"
+        );
+    }
+
+    #[test]
+    fn backward_matches_per_index_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let (learning_rate, momentum) = (0.3, 0.2);
+        for inputs in 1..=29 {
+            for outputs in 1..=15 {
+                let mut fast = Layer::new(inputs, outputs, Activation::Sigmoid, &mut rng);
+                let mut reference = fast.clone();
+                let mut no_grad = fast.clone();
+                for step in 0..4 {
+                    let what = format!("{inputs}x{outputs} step {step}");
+                    let input: Vec<f64> = (0..inputs).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let delta: Vec<f64> = (0..outputs).map(|_| rng.gen_range(-0.5..0.5)).collect();
+                    let mut grad = vec![f64::NAN; inputs];
+                    let mut grad_reference = vec![f64::NAN; inputs];
+                    fast.backward(&input, &delta, &mut grad, learning_rate, momentum);
+                    backward_reference(
+                        &mut reference,
+                        &input,
+                        &delta,
+                        &mut grad_reference,
+                        learning_rate,
+                        momentum,
+                    );
+                    no_grad.backward(&input, &delta, &mut [], learning_rate, momentum);
+                    assert_eq!(bits(&grad), bits(&grad_reference), "{what}: input grad");
+                    assert_layer_bits_eq(&fast, &reference, &what);
+                    assert_layer_bits_eq(&no_grad, &reference, &format!("{what}, no grad"));
+                }
+            }
+        }
     }
 
     #[test]
