@@ -17,8 +17,8 @@
 //! intervals sequential vs pooled (`rank_ci`), the serving path with
 //! the confidence annex enabled vs plain (`serve_noisy`), the TCP
 //! front end's warm loopback round trip vs warm in-process serving
-//! (`net_serve`) — the gap prices the wire protocol, batching window,
-//! and socket hop — the PCA-bucketed approximate fast path vs exact
+//! (`net_serve`) — the gap prices the wire protocol, the reader's cache
+//! lookup, and the socket hop — the PCA-bucketed approximate fast path vs exact
 //! serving on the 1k-machine catalog (`serve_approx`), and the PCA
 //! fit/projection kernels behind the bucket index (`pca_project`).
 
@@ -775,9 +775,11 @@ fn bench_serve_noisy(c: &mut Criterion) {
 /// The TCP front end against in-process serving on the same warm 16-mix:
 /// `inproc` runs `serve_batch_cached` (all hits) and renders the wire
 /// lines; `tcp` pipelines the same 16 request lines over a persistent
-/// loopback connection to a warm server. The gap is pure front-end
-/// overhead — parse, batching window, socket round trip — with model
-/// time cached out of both sides. CI's trajectory gate asserts
+/// loopback connection to a warm server, whose reader answers every line
+/// from the shared cache without involving the batcher. The gap is pure
+/// front-end overhead — parse, cache lookup and render on the reader
+/// thread, socket round trip — with model time cached out of both
+/// sides. CI's trajectory gate asserts
 /// inproc < tcp in the same run (`bench_diff --require-faster`).
 fn bench_net_serve(c: &mut Criterion) {
     use std::io::{BufRead, Write};

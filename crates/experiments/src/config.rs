@@ -57,10 +57,8 @@ pub struct ExperimentConfig {
     /// Concurrent client connections opened by the `repro net-serve`
     /// loopback load driver.
     pub net_connections: usize,
-    /// Batching-window length of the network front end, in milliseconds
-    /// (how long the batcher waits for more requests after the first one).
-    pub net_window_ms: u64,
-    /// Most requests the network front end coalesces into one pool pass.
+    /// Most cache misses the network front end evaluates in one pool
+    /// pass.
     pub net_max_batch: usize,
     /// Per-connection in-flight response budget of the network front end
     /// (backpressure: the reader stops pulling requests past this).
@@ -83,7 +81,6 @@ impl Default for ExperimentConfig {
             serve_top_k: 5,
             serve_ingest: false,
             net_connections: 4,
-            net_window_ms: 2,
             net_max_batch: 32,
             net_max_inflight: 64,
         }

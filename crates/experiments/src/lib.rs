@@ -15,8 +15,8 @@
 //! [`serve`] drives the concurrent ranking-query engine (shard-pruned
 //! planning + batched prediction) under a synthetic request mix,
 //! [`net_serve`] drives the same mix through the TCP front end over
-//! loopback (verifying wire responses byte-identical to in-process
-//! serving and reporting p50/p99 latency), and [`robustness`] sweeps
+//! loopback, cold and then warm (verifying wire responses byte-identical
+//! to in-process serving and reporting p50/p99 latency per pass), and [`robustness`] sweeps
 //! measurement noise over the catalog to produce perturbation-robustness
 //! curves (rank correlation of each model's served ranking vs noise
 //! level, dense and sharded), and [`approx`] sweeps the PCA-bucketed

@@ -8,17 +8,20 @@
 //! - [`protocol`] — the line-oriented wire grammar (`rank ...` in, one
 //!   `ok`/`err` line out) with typed parse errors. A malformed line gets
 //!   an error line back; it never kills the connection or a batch.
-//! - [`server`] — the threaded TCP server: a batching window coalesces
-//!   concurrent requests from many connections into one
-//!   [`serve_batch_cached`](datatrans_core::serve::serve_batch_cached)
-//!   pool pass, per-connection in-flight budgets provide backpressure,
-//!   and shutdown drains in-flight work before closing.
+//! - [`server`] — the threaded TCP server: each connection's reader
+//!   answers cache hits itself from a result cache it shares with a
+//!   single batcher, and the batcher evaluates whatever misses are
+//!   queued, from every connection, in one
+//!   [`serve_batch`](datatrans_core::serve::serve_batch) pool pass the
+//!   moment it is free, with no timer. Per-connection in-flight budgets
+//!   provide backpressure, and shutdown drains in-flight work before
+//!   closing.
 //!
 //! Determinism carries over the wire: responses are rendered with
 //! bitwise round-trip float formatting, so the bytes a client reads are a
 //! faithful serialization of the in-process
 //! [`RankResponse`](datatrans_core::serve::RankResponse) — identical at
-//! any thread count, any backing, any batching schedule.
+//! any thread count, any backing, any batching schedule, hit or miss.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

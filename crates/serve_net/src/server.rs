@@ -1,55 +1,82 @@
 //! The TCP server: accept loop, per-connection reader/writer threads, a
-//! single batching thread that owns the [`ResultCache`], and graceful
-//! drain on shutdown.
+//! result cache the readers share with a single batching thread, and
+//! graceful drain on shutdown.
 //!
 //! # Threading model
 //!
 //! ```text
-//! accept loop ──spawns──▶ reader ──WorkItem──▶ batcher ──line──▶ writer
-//!   (1 thread)           (1/conn)   (mpsc)    (1 thread)  (mpsc)  (1/conn)
+//!                      ┌──── lookup ────▶ ResultCache ◀──── insert ────┐
+//!                      │                (Arc<Mutex<_>>)                │
+//! accept loop ─spawns─▶ reader ────── miss (mpsc) ──────────────────▶ batcher
+//!   (1 thread)         (1/conn)                                     (1 thread)
+//!                      │ Ready(line) | Pending(slot),                  │ fills
+//!                      ▼ (mpsc, in request order)                      │ slot
+//!                    writer ◀────── line (one-shot) ───────────────────┘
+//!                    (1/conn)
 //! ```
 //!
-//! Every parsed line becomes one [`WorkItem`] carrying the connection's
-//! reply sender. The batcher coalesces items from *all* connections into
-//! one [`serve_batch_cached`] pool pass per window (first item opens the
-//! window; it closes after [`NetServerConfig::window`] or at
-//! [`NetServerConfig::max_batch`] items), then dispatches response lines
-//! in arrival order. Because the batcher is a single FIFO stage, each
-//! connection's responses come back in the order its requests were sent —
-//! pings and protocol errors also flow through the batcher (as
-//! pre-rendered [`Job::Ready`] lines) precisely to preserve that order.
+//! A reader answers a cache hit itself: it fingerprints the request
+//! outside the lock, looks it up inside it, renders the line on its own
+//! thread and queues it for the writer. Hits therefore never wait for
+//! the batcher, and a hit on one connection never waits for a miss on
+//! another. A miss goes to the batcher together with a one-shot reply
+//! slot, and the reader queues the slot's receiving end for the writer.
+//!
+//! The batcher is the only place a miss is evaluated, and it is
+//! work-conserving: it blocks for the first queued miss, takes whatever
+//! else is already queued (up to [`NetServerConfig::max_batch`]) without
+//! waiting for more, runs one [`serve_batch`] pool pass with no lock held,
+//! inserts the fresh responses into the cache, and then fills each slot.
+//! It never holds the cache lock while a model runs.
+//!
+//! Each connection's writer takes its replies from one queue in request
+//! order and blocks on a pending slot until the batcher fills it, so each
+//! connection's responses come back in the order its requests were sent,
+//! by construction. The protocol has no request ids, so a hit queued
+//! behind a pending miss on the *same* connection still waits for it.
+//!
+//! The batcher contains panics: a pass that panics is re-served one
+//! request at a time, and only a request that panics on its own is
+//! answered with `err invariant` (counted in [`ServerStats::panics`]).
 //!
 //! # Backpressure
 //!
 //! Each connection has a bounded in-flight budget
 //! ([`NetServerConfig::max_inflight`]): the reader acquires one permit per
-//! request *before* enqueueing and the writer releases it after the
-//! response line is written. A client that pipelines faster than the
-//! server answers simply stops being read — TCP flow control pushes back
-//! to the sender — so one greedy connection cannot queue unbounded work.
+//! request *before* answering or enqueueing it and the writer releases it
+//! after the response line is written. A client that pipelines faster
+//! than the server answers simply stops being read — TCP flow control
+//! pushes back to the sender — so one greedy connection cannot queue
+//! unbounded work.
 //!
 //! # Graceful drain
 //!
 //! [`NetServer::shutdown`] stops the accept loop and the readers (no new
 //! requests), but everything already accepted keeps flowing: the batcher
-//! drains its queue (the channel yields buffered items before reporting
+//! drains its queue (the channel yields buffered misses before reporting
 //! disconnect), writers flush every pending response, and only then do
 //! connections close. [`NetServer::join`] performs the drain and returns
 //! the final [`ServerStats`].
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use datatrans_core::cache::ResultCache;
-use datatrans_core::serve::{serve_batch_cached, RankRequest, ServeConfig, ServeError};
+use datatrans_core::fingerprint::RequestFingerprint;
+use datatrans_core::serve::{
+    serve_batch, serve_one, RankRequest, RankResponse, ServeConfig, ServeError,
+};
 use datatrans_dataset::view::DatabaseView;
 
-use crate::protocol::{parse_line, render_result, write_serve_error, Command, ProtocolError};
+use crate::protocol::{
+    parse_line, render_result, write_response, write_serve_error, Command, ProtocolError,
+};
 
 /// How long a blocked reader or the accept loop sleeps between checks of
 /// the shutdown flag.
@@ -60,11 +87,8 @@ const POLL_INTERVAL: Duration = Duration::from_millis(10);
 pub struct NetServerConfig {
     /// The serving-engine configuration used for every batch.
     pub serve: ServeConfig,
-    /// Most requests coalesced into one pool pass.
+    /// Most cache misses evaluated in one pool pass.
     pub max_batch: usize,
-    /// How long the batcher waits for more requests after the first one
-    /// opens a window.
-    pub window: Duration,
     /// Most responses outstanding per connection before its reader stops
     /// pulling new requests off the socket.
     pub max_inflight: usize,
@@ -77,7 +101,6 @@ impl Default for NetServerConfig {
         NetServerConfig {
             serve: ServeConfig::default(),
             max_batch: 32,
-            window: Duration::from_millis(2),
             max_inflight: 64,
             cache_capacity: 256,
         }
@@ -95,20 +118,27 @@ impl NetServerConfig {
     }
 }
 
-/// Lifetime counters, returned by [`NetServer::join`].
+/// Counters and gauges of a running server: read live with
+/// [`NetServer::stats`], or finally with [`NetServer::join`].
+///
+/// Readers count hits and the batcher counts misses, so
+/// `hits + misses == requests` whenever the server is idle; a live
+/// snapshot reads each counter separately and may catch one mid-update.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Connections accepted.
     pub connections: u64,
     /// Ranking requests served (cache hits included).
     pub requests: u64,
-    /// Pool passes executed ([`serve_batch_cached`] calls).
+    /// Miss passes executed (one [`serve_batch`] call each). Hits are
+    /// answered by the readers and never make a pass.
     pub batches: u64,
-    /// Largest number of ranking requests coalesced into one pass.
+    /// Most cache misses evaluated in one pass.
     pub max_batch_len: u64,
-    /// Requests answered from the result cache.
+    /// Requests answered from the result cache by their connection's
+    /// reader.
     pub hits: u64,
-    /// Requests that fell through to model evaluation.
+    /// Requests that fell through to model evaluation in the batcher.
     pub misses: u64,
     /// Cache entries dropped by catalog-version moves.
     pub invalidations: u64,
@@ -120,6 +150,11 @@ pub struct ServerStats {
     /// Candidate machines the approximate path short-circuited past exact
     /// evaluation, summed over all approx responses.
     pub machines_short_circuited: u64,
+    /// Requests answered `err invariant` because serving them on their
+    /// own panicked. The batcher catches the panic and keeps serving.
+    pub panics: u64,
+    /// Gauge: misses sent to the batcher and not yet taken into a pass.
+    pub queue_depth: u64,
 }
 
 /// Shared atomic counters behind [`ServerStats`].
@@ -135,6 +170,8 @@ struct SharedStats {
     protocol_errors: AtomicU64,
     approx_requests: AtomicU64,
     machines_short_circuited: AtomicU64,
+    panics: AtomicU64,
+    queue_depth: AtomicU64,
 }
 
 impl SharedStats {
@@ -150,23 +187,62 @@ impl SharedStats {
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             approx_requests: self.approx_requests.load(Ordering::Relaxed),
             machines_short_circuited: self.machines_short_circuited.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
+            queue_depth: self.queue_depth.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Counts one served response's approximate-path effect.
+    fn count_approx(&self, response: &RankResponse) {
+        if let Some(report) = &response.approx {
+            self.approx_requests.fetch_add(1, Ordering::Relaxed);
+            self.machines_short_circuited
+                .fetch_add(report.short_circuited as u64, Ordering::Relaxed);
         }
     }
 }
 
-/// What one parsed line asks the batcher to do.
-enum Job {
-    /// A response that needs no serving work (pong, protocol error) but
-    /// must flow through the batcher to keep per-connection ordering.
-    Ready(String),
-    /// A ranking request for the next [`serve_batch_cached`] pass.
-    Serve(Box<RankRequest>),
+/// State every server thread shares.
+struct Shared {
+    db: Arc<dyn DatabaseView + Send + Sync>,
+    config: NetServerConfig,
+    /// Looked up by every reader, filled by the batcher.
+    cache: Mutex<ResultCache>,
+    stats: SharedStats,
+    shutdown: AtomicBool,
 }
 
-/// One unit of work plus the route back to its connection's writer.
-struct WorkItem {
-    job: Job,
-    reply: mpsc::Sender<String>,
+impl Shared {
+    /// Answers `request` from the cache if it is resident, counting the
+    /// hit and rendering its line. A poisoned lock counts as a miss.
+    ///
+    /// Only the batcher syncs the catalog version: the view is shared
+    /// read-only, so its version cannot move while the server runs, and
+    /// every resident entry was inserted by a pass that synced first.
+    fn answer_hit(&self, fingerprint: RequestFingerprint, request: &RankRequest) -> Option<String> {
+        let response = self.cache.lock().ok()?.lookup(fingerprint, request)?;
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        self.stats.hits.fetch_add(1, Ordering::Relaxed);
+        self.stats.count_approx(&response);
+        Some(write_response(&response))
+    }
+}
+
+/// A cache miss on its way to the batcher.
+struct Miss {
+    request: RankRequest,
+    fingerprint: RequestFingerprint,
+    /// The one-shot slot the batcher fills with the response line.
+    reply: mpsc::SyncSender<String>,
+}
+
+/// One response in a connection's writer queue, in request order.
+enum Reply {
+    /// A line the reader already has: a cache hit, `ok pong` or a
+    /// protocol error.
+    Ready(String),
+    /// A miss's slot, filled by the batcher.
+    Pending(mpsc::Receiver<String>),
 }
 
 /// The per-connection in-flight budget: a counting semaphore whose
@@ -220,8 +296,7 @@ impl Inflight {
 /// every thread; call [`NetServer::join`] to also collect the stats.
 pub struct NetServer {
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<SharedStats>,
+    shared: Arc<Shared>,
     accept_handle: Option<JoinHandle<()>>,
     batch_handle: Option<JoinHandle<()>>,
     conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -244,41 +319,33 @@ impl NetServer {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(SharedStats::default());
+        let shared = Arc::new(Shared {
+            db,
+            cache: Mutex::new(ResultCache::new(config.cache_capacity)),
+            config,
+            stats: SharedStats::default(),
+            shutdown: AtomicBool::new(false),
+        });
         let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
+        let (work_tx, work_rx) = mpsc::channel::<Miss>();
 
         let batch_handle = {
-            let config = config.clone();
-            let stats = Arc::clone(&stats);
-            thread::spawn(move || run_batcher(db, &config, &work_rx, &stats))
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || run_batcher(&shared, &work_rx))
         };
 
         let accept_handle = {
-            let shutdown = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
+            let shared = Arc::clone(&shared);
             let conn_handles = Arc::clone(&conn_handles);
-            let config = config.clone();
             // The accept loop owns the only long-lived work sender: when it
             // exits (shutdown) and every reader is done, the batcher sees
             // the channel disconnect and drains.
-            thread::spawn(move || {
-                run_accept_loop(
-                    &listener,
-                    &work_tx,
-                    &shutdown,
-                    &stats,
-                    &conn_handles,
-                    &config,
-                )
-            })
+            thread::spawn(move || run_accept_loop(&listener, &work_tx, &shared, &conn_handles))
         };
 
         Ok(NetServer {
             local_addr,
-            shutdown,
-            stats,
+            shared,
             accept_handle: Some(accept_handle),
             batch_handle: Some(batch_handle),
             conn_handles,
@@ -290,18 +357,23 @@ impl NetServer {
         self.local_addr
     }
 
+    /// A live snapshot of the counters and the queue-depth gauge.
+    pub fn stats(&self) -> ServerStats {
+        self.shared.stats.snapshot()
+    }
+
     /// Requests shutdown: stop accepting and stop reading new requests.
     /// Already-queued requests still get responses (graceful drain);
     /// [`NetServer::join`] waits for that to finish.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shared.shutdown.store(true, Ordering::Relaxed);
     }
 
     /// Shuts down, drains in-flight work, joins every thread, and returns
     /// the lifetime stats.
     pub fn join(mut self) -> ServerStats {
         self.drain();
-        self.stats.snapshot()
+        self.stats()
     }
 
     /// The drain sequence shared by [`NetServer::join`] and `Drop`:
@@ -309,7 +381,7 @@ impl NetServer {
     /// work sender), then readers/writers, then the batcher (which exits
     /// once every work sender is gone and the queue is dry).
     fn drain(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shutdown();
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
@@ -339,17 +411,15 @@ impl Drop for NetServer {
 
 fn run_accept_loop(
     listener: &TcpListener,
-    work_tx: &mpsc::Sender<WorkItem>,
-    shutdown: &Arc<AtomicBool>,
-    stats: &Arc<SharedStats>,
-    conn_handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    config: &NetServerConfig,
+    work_tx: &mpsc::Sender<Miss>,
+    shared: &Arc<Shared>,
+    conn_handles: &Mutex<Vec<JoinHandle<()>>>,
 ) {
-    while !shutdown.load(Ordering::Relaxed) {
+    while !shared.shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                let handles = spawn_connection(stream, work_tx.clone(), shutdown, stats, config);
+                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+                let handles = spawn_connection(stream, work_tx.clone(), shared);
                 if let Ok(mut all) = conn_handles.lock() {
                     all.extend(handles);
                 }
@@ -364,11 +434,9 @@ fn run_accept_loop(
 /// Spawns the reader and writer threads of one accepted connection.
 fn spawn_connection(
     stream: TcpStream,
-    work_tx: mpsc::Sender<WorkItem>,
-    shutdown: &Arc<AtomicBool>,
-    stats: &Arc<SharedStats>,
-    config: &NetServerConfig,
-) -> Vec<JoinHandle<JoinUnit>> {
+    work_tx: mpsc::Sender<Miss>,
+    shared: &Arc<Shared>,
+) -> Vec<JoinHandle<()>> {
     // One request line is small and one response line matters: disable
     // Nagle so a lone request is not held back by the kernel.
     let _ = stream.set_nodelay(true);
@@ -377,21 +445,21 @@ fn spawn_connection(
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
 
-    let (reply_tx, reply_rx) = mpsc::channel::<String>();
-    let inflight = Arc::new(Inflight::new(config.max_inflight));
+    let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+    let inflight = Arc::new(Inflight::new(shared.config.max_inflight));
     let mut handles = Vec::with_capacity(2);
 
     let write_stream = stream.try_clone();
     {
-        let shutdown = Arc::clone(shutdown);
-        let stats = Arc::clone(stats);
-        let inflight = Arc::clone(&inflight);
-        handles.push(thread::spawn(move || {
-            run_reader(stream, &work_tx, &reply_tx, &inflight, &shutdown, &stats);
-        }));
+        let reader = Reader {
+            shared: Arc::clone(shared),
+            misses: work_tx,
+            replies: reply_tx,
+            inflight: Arc::clone(&inflight),
+        };
+        handles.push(thread::spawn(move || reader.run(stream)));
     }
     if let Ok(write_stream) = write_stream {
-        let inflight = Arc::clone(&inflight);
         handles.push(thread::spawn(move || {
             run_writer(write_stream, &reply_rx, &inflight);
         }));
@@ -399,134 +467,154 @@ fn spawn_connection(
     handles
 }
 
-type JoinUnit = ();
+/// One connection's reader: parses lines, answers hits from the shared
+/// cache, hands misses to the batcher, and queues every reply for the
+/// writer in request order.
+struct Reader {
+    shared: Arc<Shared>,
+    misses: mpsc::Sender<Miss>,
+    replies: mpsc::Sender<Reply>,
+    inflight: Arc<Inflight>,
+}
 
-/// Reads lines, parses them, and enqueues work under the in-flight
-/// budget. Exits on EOF, socket error, shutdown, or a dead batcher.
-fn run_reader(
-    stream: TcpStream,
-    work_tx: &mpsc::Sender<WorkItem>,
-    reply_tx: &mpsc::Sender<String>,
-    inflight: &Inflight,
-    shutdown: &AtomicBool,
-    stats: &SharedStats,
-) {
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    // When a line overruns the protocol limit its bytes are discarded as
-    // they stream in; the typed error goes out once the newline arrives.
-    let mut overflow: usize = 0;
+impl Reader {
+    /// Reads and dispatches lines until EOF, a socket error, shutdown, or
+    /// a dead writer or batcher.
+    fn run(&self, stream: TcpStream) {
+        let shutdown = &self.shared.shutdown;
+        let mut reader = BufReader::new(stream);
+        let mut buf: Vec<u8> = Vec::new();
+        // When a line overruns the protocol limit its bytes are discarded
+        // as they stream in; the typed error goes out once the newline
+        // arrives.
+        let mut overflow: usize = 0;
 
-    'conn: loop {
-        if shutdown.load(Ordering::Relaxed) {
-            break;
-        }
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => break, // EOF
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Timeout mid-line: whatever arrived is already appended
-                // to `buf`; just poll the shutdown flag and keep reading.
-                if overflow == 0 && buf.len() > crate::protocol::MAX_LINE_BYTES {
-                    overflow = buf.len();
+        loop {
+            if shutdown.load(Ordering::Relaxed) {
+                break;
+            }
+            match reader.read_until(b'\n', &mut buf) {
+                Ok(0) => break, // EOF
+                Ok(_) => {}
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    // Timeout mid-line: whatever arrived is already
+                    // appended to `buf`; just poll the shutdown flag and
+                    // keep reading.
+                    if overflow == 0 && buf.len() > crate::protocol::MAX_LINE_BYTES {
+                        overflow = buf.len();
+                        buf.clear();
+                    }
+                    continue;
+                }
+                Err(_) => break,
+            }
+            let complete = buf.last() == Some(&b'\n');
+            if complete {
+                buf.pop();
+            }
+            if overflow > 0 || buf.len() > crate::protocol::MAX_LINE_BYTES {
+                if complete {
+                    let got = overflow + buf.len();
+                    buf.clear();
+                    overflow = 0;
+                    if !self.dispatch(Err(ProtocolError::LineTooLong { got })) {
+                        break;
+                    }
+                } else {
+                    // Still mid-overrun: drop the bytes, remember the count.
+                    overflow += buf.len();
                     buf.clear();
                 }
                 continue;
             }
-            Err(_) => break,
+            if !complete {
+                // EOF lands mid-line next iteration; parse what we have so
+                // a final unterminated request still gets its response.
+                continue;
+            }
+            let parsed = parse_line(&buf);
+            buf.clear();
+            if !self.dispatch(parsed) {
+                break;
+            }
         }
-        let complete = buf.last() == Some(&b'\n');
-        if complete {
-            buf.pop();
+        // A trailing unterminated line at EOF is still a request.
+        if !buf.is_empty() && !shutdown.load(Ordering::Relaxed) {
+            self.dispatch(parse_line(&buf));
         }
-        if overflow > 0 || buf.len() > crate::protocol::MAX_LINE_BYTES {
-            if complete {
-                let got = overflow + buf.len();
-                buf.clear();
-                overflow = 0;
+    }
+
+    /// Answers one parsed line under the in-flight budget: a hit, pong or
+    /// protocol error becomes a ready line, a miss goes to the batcher and
+    /// leaves its slot in the writer queue. Returns `false` when the
+    /// connection should stop reading (shutdown, or the writer or batcher
+    /// is gone).
+    fn dispatch(&self, parsed: Result<Command, ProtocolError>) -> bool {
+        if matches!(parsed, Err(ProtocolError::EmptyLine)) {
+            return true;
+        }
+        if !self.inflight.acquire(&self.shared.shutdown) {
+            return false;
+        }
+        let stats = &self.shared.stats;
+        let mut batcher_alive = true;
+        let reply = match parsed {
+            Ok(Command::Ping) => Reply::Ready(String::from("ok pong")),
+            Err(error) => {
                 stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let line = ProtocolError::LineTooLong { got }.to_line();
-                if !enqueue(work_tx, reply_tx, inflight, shutdown, Job::Ready(line)) {
-                    break 'conn;
+                Reply::Ready(error.to_line())
+            }
+            Ok(Command::Rank(request)) => {
+                let fingerprint = RequestFingerprint::of(&request);
+                match self.shared.answer_hit(fingerprint, &request) {
+                    Some(line) => Reply::Ready(line),
+                    None => {
+                        let (slot_tx, slot_rx) = mpsc::sync_channel(1);
+                        stats.queue_depth.fetch_add(1, Ordering::Relaxed);
+                        let miss = Miss {
+                            request: *request,
+                            fingerprint,
+                            reply: slot_tx,
+                        };
+                        // If the batcher is gone the miss (and its slot
+                        // sender) is dropped, so the writer answers the
+                        // slot with `err invariant`.
+                        if self.misses.send(miss).is_err() {
+                            stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                            batcher_alive = false;
+                        }
+                        Reply::Pending(slot_rx)
+                    }
                 }
-            } else {
-                // Still mid-overrun: drop the bytes, remember the count.
-                overflow += buf.len();
-                buf.clear();
-            }
-            continue;
-        }
-        if !complete {
-            // EOF lands mid-line next iteration; parse what we have so a
-            // final unterminated request still gets its response.
-            continue;
-        }
-        let job = match parse_line(&buf) {
-            Ok(Command::Ping) => Some(Job::Ready(String::from("ok pong"))),
-            Ok(Command::Rank(request)) => Some(Job::Serve(request)),
-            Err(ProtocolError::EmptyLine) => None,
-            Err(error) => {
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                Some(Job::Ready(error.to_line()))
             }
         };
-        buf.clear();
-        if let Some(job) = job {
-            if !enqueue(work_tx, reply_tx, inflight, shutdown, job) {
-                break 'conn;
-            }
+        if self.replies.send(reply).is_err() {
+            self.inflight.release();
+            return false;
         }
-    }
-    // A trailing unterminated line at EOF is still a request.
-    if !buf.is_empty() && !shutdown.load(Ordering::Relaxed) {
-        let job = match parse_line(&buf) {
-            Ok(Command::Ping) => Some(Job::Ready(String::from("ok pong"))),
-            Ok(Command::Rank(request)) => Some(Job::Serve(request)),
-            Err(ProtocolError::EmptyLine) => None,
-            Err(error) => {
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                Some(Job::Ready(error.to_line()))
-            }
-        };
-        if let Some(job) = job {
-            let _ = enqueue(work_tx, reply_tx, inflight, shutdown, job);
-        }
+        batcher_alive
     }
 }
 
-/// Acquires an in-flight permit and hands the job to the batcher. Returns
-/// `false` when the connection should stop reading (shutdown, or the
-/// batcher is gone).
-fn enqueue(
-    work_tx: &mpsc::Sender<WorkItem>,
-    reply_tx: &mpsc::Sender<String>,
-    inflight: &Inflight,
-    shutdown: &AtomicBool,
-    job: Job,
-) -> bool {
-    if !inflight.acquire(shutdown) {
-        return false;
-    }
-    let item = WorkItem {
-        job,
-        reply: reply_tx.clone(),
-    };
-    if work_tx.send(item).is_err() {
-        inflight.release();
-        return false;
-    }
-    true
-}
-
-/// Writes response lines back to the client, releasing one in-flight
-/// permit per line. Keeps draining (without writing) after a socket
-/// error so permits are never leaked.
-fn run_writer(stream: TcpStream, reply_rx: &mpsc::Receiver<String>, inflight: &Inflight) {
+/// Writes response lines back to the client in request order, blocking
+/// on each pending slot until the batcher fills it and releasing one
+/// in-flight permit per line. Keeps draining (without writing) after a
+/// socket error so permits are never leaked.
+fn run_writer(stream: TcpStream, replies: &mpsc::Receiver<Reply>, inflight: &Inflight) {
     let mut out = io::BufWriter::new(stream);
     let mut sink_only = false;
-    for line in reply_rx.iter() {
+    for reply in replies.iter() {
+        let line = match reply {
+            Reply::Ready(line) => line,
+            Reply::Pending(slot) => slot.recv().unwrap_or_else(|_| {
+                write_serve_error(&ServeError::Invariant {
+                    what: "batcher dropped a pending reply",
+                })
+            }),
+        };
         if !sink_only {
             let ok = out
                 .write_all(line.as_bytes())
@@ -541,105 +629,86 @@ fn run_writer(stream: TcpStream, reply_rx: &mpsc::Receiver<String>, inflight: &I
     }
 }
 
-/// The single batching thread: owns the [`ResultCache`], coalesces work
-/// items into windows, runs one pool pass per window, and dispatches the
-/// response lines in arrival order.
-fn run_batcher(
-    db: Arc<dyn DatabaseView + Send + Sync>,
-    config: &NetServerConfig,
-    work_rx: &mpsc::Receiver<WorkItem>,
-    stats: &SharedStats,
-) {
-    let mut cache = ResultCache::new(config.cache_capacity);
-    let max_batch = config.max_batch.max(1);
-    loop {
-        // Block for the window-opening item. Disconnect means every
-        // sender (accept loop + readers) is gone and the queue is dry:
-        // the drain is complete.
-        let first = match work_rx.recv() {
-            Ok(item) => item,
-            Err(_) => return,
-        };
-        let mut items = vec![first];
-        let deadline = Instant::now() + config.window;
-        while items.len() < max_batch {
-            let now = Instant::now();
-            let Some(left) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                break;
-            };
-            match work_rx.recv_timeout(left) {
-                Ok(item) => items.push(item),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+/// The single batching thread, the only place a miss is evaluated. It
+/// blocks for the first queued miss, takes whatever else is already
+/// queued (up to `max_batch`) without a timer, serves the pass with no
+/// lock held, inserts each fresh response into the shared cache, and
+/// only then fills the slots, so a client that reads its answer and asks
+/// again is served from the cache.
+fn run_batcher(shared: &Shared, work_rx: &mpsc::Receiver<Miss>) {
+    let stats = &shared.stats;
+    let max_batch = shared.config.max_batch.max(1);
+    // Disconnect means every sender (accept loop + readers) is gone and
+    // the queue is dry: the drain is complete.
+    while let Ok(first) = work_rx.recv() {
+        let mut pass = vec![first];
+        pass.extend(work_rx.try_iter().take(max_batch - 1));
+        stats
+            .queue_depth
+            .fetch_sub(pass.len() as u64, Ordering::Relaxed);
+        let (requests, slots): (Vec<RankRequest>, Vec<_>) = pass
+            .into_iter()
+            .map(|miss| (miss.request, (miss.fingerprint, miss.reply)))
+            .unzip();
+
+        let version = shared.db.catalog_version();
+        let results = serve_isolated(&*shared.db, &requests, &shared.config.serve, stats);
+        let n = requests.len() as u64;
+        stats.batches.fetch_add(1, Ordering::Relaxed);
+        stats.requests.fetch_add(n, Ordering::Relaxed);
+        stats.misses.fetch_add(n, Ordering::Relaxed);
+        stats.max_batch_len.fetch_max(n, Ordering::Relaxed);
+        for response in results.iter().flatten() {
+            stats.count_approx(response);
         }
 
-        let mut positions = Vec::new();
-        let mut requests: Vec<RankRequest> = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            if let Job::Serve(request) = &item.job {
-                positions.push(i);
-                requests.push((**request).clone());
-            }
-        }
-        let mut rendered: Vec<Option<String>> = (0..items.len()).map(|_| None).collect();
-        if !requests.is_empty() {
-            let batch = serve_batch_cached(&*db, &requests, &config.serve, &mut cache);
-            stats.batches.fetch_add(1, Ordering::Relaxed);
-            stats
-                .requests
-                .fetch_add(requests.len() as u64, Ordering::Relaxed);
-            stats.hits.fetch_add(batch.hits, Ordering::Relaxed);
-            stats.misses.fetch_add(batch.misses, Ordering::Relaxed);
-            stats
-                .invalidations
-                .fetch_add(batch.invalidations, Ordering::Relaxed);
-            stats
-                .max_batch_len
-                .fetch_max(requests.len() as u64, Ordering::Relaxed);
-            let mut approx_requests = 0;
-            let mut short_circuited = 0;
-            for response in batch.responses.iter().flatten() {
-                if let Some(report) = &response.approx {
-                    approx_requests += 1;
-                    short_circuited += report.short_circuited as u64;
+        if let Ok(mut cache) = shared.cache.lock() {
+            let dropped = cache.sync_version(version);
+            stats.invalidations.fetch_add(dropped, Ordering::Relaxed);
+            for ((request, result), (fingerprint, _)) in requests.iter().zip(&results).zip(&slots) {
+                if let Ok(response) = result {
+                    cache.insert(*fingerprint, request, response);
                 }
             }
-            stats
-                .approx_requests
-                .fetch_add(approx_requests, Ordering::Relaxed);
-            stats
-                .machines_short_circuited
-                .fetch_add(short_circuited, Ordering::Relaxed);
-            for (&slot, result) in positions.iter().zip(batch.responses.iter()) {
-                rendered[slot] = Some(render_result(result));
-            }
         }
-        for (i, item) in items.into_iter().enumerate() {
-            let line = match item.job {
-                Job::Ready(line) => line,
-                // `rendered[i]` is always filled for Serve jobs; the
-                // fallback keeps an impossible gap from panicking the
-                // batcher (mirrors the serve-path invariant hardening).
-                Job::Serve(_) => rendered[i].take().unwrap_or_else(|| {
-                    write_serve_error(&ServeError::Invariant {
-                        what: "batch slot missing rendered response",
-                    })
-                }),
-            };
-            let _ = item.reply.send(line);
+        for ((_, reply), result) in slots.into_iter().zip(&results) {
+            let _ = reply.send(render_result(result));
         }
     }
+}
+
+/// [`serve_batch`] with panics contained. If the pass panics, its
+/// requests are re-served one at a time with [`serve_one`] (the same
+/// bytes as a batch slot), and only a request that panics on its own is
+/// answered [`ServeError::Invariant`] (and counted); every other request
+/// gets the response it would have had.
+fn serve_isolated(
+    db: &(dyn DatabaseView + Send + Sync),
+    requests: &[RankRequest],
+    config: &ServeConfig,
+    stats: &SharedStats,
+) -> Vec<Result<RankResponse, ServeError>> {
+    if let Ok(results) = catch_unwind(AssertUnwindSafe(|| serve_batch(db, requests, config))) {
+        return results;
+    }
+    requests
+        .iter()
+        .map(|request| {
+            catch_unwind(AssertUnwindSafe(|| serve_one(db, request, config))).unwrap_or_else(|_| {
+                stats.panics.fetch_add(1, Ordering::Relaxed);
+                Err(ServeError::Invariant {
+                    what: "serving this request panicked",
+                })
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::write_request;
-    use datatrans_core::serve::{serve_batch, AppOfInterest, ModelKind, RankResponse};
+    use datatrans_core::serve::{AppOfInterest, ModelKind};
     use datatrans_dataset::generator::{generate, DatasetConfig};
     use datatrans_dataset::query::MachineFilter;
     use std::io::BufRead;
@@ -794,40 +863,6 @@ mod tests {
         assert_eq!(got, expected[..got.len()].to_vec());
         drop((reader, stream));
         server.join();
-    }
-
-    #[test]
-    fn window_coalesces_concurrent_connections_into_one_pass() {
-        let db = test_db();
-        let mut config = NetServerConfig::quick();
-        config.window = Duration::from_millis(100); // generous window
-        let server = NetServer::spawn(db, "127.0.0.1:0", config).unwrap();
-        let addr = server.local_addr();
-        let n = 4;
-        let mut clients = Vec::new();
-        for seed in 0..n {
-            clients.push(thread::spawn(move || {
-                let mut stream = TcpStream::connect(addr).unwrap();
-                let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-                let line = write_request(&sample_request(seed));
-                stream.write_all(line.as_bytes()).unwrap();
-                stream.write_all(b"\n").unwrap();
-                let mut response = String::new();
-                reader.read_line(&mut response).unwrap();
-                assert!(response.starts_with("ok "), "got: {response}");
-            }));
-        }
-        for client in clients {
-            client.join().unwrap();
-        }
-        let stats = server.join();
-        assert_eq!(stats.requests, n);
-        // The window is long relative to loopback latency, so at least
-        // one pass must have coalesced more than one request.
-        assert!(
-            stats.batches < n || stats.max_batch_len > 1,
-            "no coalescing: {stats:?}"
-        );
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!   layers (purchasing advisor, heterogeneous scheduler, design-space
 //!   exploration).
 //! * [`serve_net`] — the std-only TCP serving front end: line-oriented
-//!   wire protocol, batching window, per-connection backpressure, and
+//!   wire protocol, cache hits answered on each connection's reader, a
+//!   work-conserving batcher for misses, per-connection backpressure, and
 //!   graceful drain around the cached serving engine.
 //! * [`experiments`] — drivers regenerating every table and figure.
 //!
