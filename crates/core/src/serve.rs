@@ -18,14 +18,17 @@
 //! 4. **ranks** — descending predicted score, truncated to `top_k`.
 //!
 //! A request carrying an [`ApproxConfig`] first narrows the planned
-//! candidates to the best PCA buckets; one without is served exactly.
+//! candidates to the best PCA buckets; one without is served exactly. The
+//! bucket index comes from [`DatabaseView::bucket_index`], asked inside
+//! the fan-out by the worker serving the request: the backing builds each
+//! distinct index once per catalog version, on whichever worker first
+//! needs it, while the rest of the pass runs beside that build.
 //!
 //! Responses are returned in request order and are **bitwise-identical**
 //! at any thread count, on dense and sharded backings, and under any
 //! batch permutation (each response depends only on its own request and
 //! the stored data; `tests/query_engine.rs` pins all three properties).
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -313,7 +316,7 @@ pub struct ApproxConfig {
     /// `1..=n_benchmarks`. More components reconstruct more faithful
     /// centroid columns (better coarse ranking, higher recall).
     pub n_components: usize,
-    /// Buckets along the leading component, `>= 1`.
+    /// Buckets along the leading component, in `1..=n_machines`.
     pub n_buckets: usize,
     /// Best-scoring buckets whose members survive to exact evaluation,
     /// in `1..=n_buckets`.
@@ -321,20 +324,25 @@ pub struct ApproxConfig {
 }
 
 impl ApproxConfig {
-    /// Validates every parameter against its documented domain.
+    /// Validates every parameter against its documented domain on a
+    /// catalog of `n_benchmarks × n_machines`.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidApprox`] naming the first offending
     /// parameter.
-    pub fn validate(&self, n_benchmarks: usize) -> std::result::Result<(), ServeError> {
+    pub fn validate(
+        &self,
+        n_benchmarks: usize,
+        n_machines: usize,
+    ) -> std::result::Result<(), ServeError> {
         if self.n_components == 0 || self.n_components > n_benchmarks {
             return Err(ServeError::InvalidApprox {
                 name: "n_components",
                 value: self.n_components,
             });
         }
-        if self.n_buckets == 0 {
+        if self.n_buckets == 0 || self.n_buckets > n_machines {
             return Err(ServeError::InvalidApprox {
                 name: "n_buckets",
                 value: self.n_buckets,
@@ -598,37 +606,9 @@ fn validate_request<D: DatabaseView + ?Sized>(
         confidence.validate()?;
     }
     if let Some(approx) = &request.approx {
-        approx.validate(view.n_benchmarks())?;
+        approx.validate(view.n_benchmarks(), view.n_machines())?;
     }
     Ok(())
-}
-
-/// The bucket indexes one serving pass needs, keyed by
-/// `(n_components, n_buckets)` and built once per pass against the
-/// current catalog version — so every request in a batch shares one
-/// build, and an ingest between passes is picked up automatically
-/// (rebuilding is identical to building from scratch; the index holds no
-/// incremental state). A failed build is stored so the affected requests
-/// degrade to typed per-slot errors.
-type BucketIndexMap = HashMap<(usize, usize), std::result::Result<BucketIndex, DatasetError>>;
-
-/// Builds every distinct bucket index the batch's valid approx requests
-/// need.
-fn build_bucket_indices<D: DatabaseView + ?Sized>(
-    db: &D,
-    requests: &[RankRequest],
-) -> BucketIndexMap {
-    let mut map = BucketIndexMap::new();
-    for request in requests {
-        if let Some(approx) = &request.approx {
-            if approx.validate(db.n_benchmarks()).is_err() {
-                continue; // the request will fail validation, never probe
-            }
-            map.entry((approx.n_components, approx.n_buckets))
-                .or_insert_with(|| BucketIndex::build(db, approx.n_components, approx.n_buckets));
-        }
-    }
-    map
 }
 
 /// Builds the coarse prediction task: the request's real predictive side,
@@ -689,22 +669,16 @@ fn approx_filter<D: DatabaseView + ?Sized>(
     request: &RankRequest,
     config: &ServeConfig,
     cache: &mut ModelCache,
-    indices: &BucketIndexMap,
     targets: Vec<usize>,
 ) -> std::result::Result<(Vec<usize>, Option<ApproxReport>), ServeError> {
     let Some(approx) = &request.approx else {
         return Ok((targets, None));
     };
-    let index = match indices.get(&(approx.n_components, approx.n_buckets)) {
-        Some(Ok(index)) => index,
-        Some(Err(e)) => return Err(ServeError::Evaluation(CoreError::Dataset(e.clone()))),
-        None => {
-            return Err(ServeError::Invariant {
-                what: "bucket index missing for an approx request",
-            })
-        }
-    };
-    if index.n_machines() != view.n_machines() {
+    let index = view
+        .bucket_index(approx.n_components, approx.n_buckets)
+        .map_err(|e| ServeError::Evaluation(CoreError::Dataset(e)))?;
+    if index.n_machines() != view.n_machines() || index.catalog_version() != view.catalog_version()
+    {
         return Err(ServeError::Invariant {
             what: "bucket index covers a different catalog than the view",
         });
@@ -726,7 +700,7 @@ fn approx_filter<D: DatabaseView + ?Sized>(
             }),
         ));
     }
-    let coarse = coarse_task(view, request, index, &bucket_ids)?;
+    let coarse = coarse_task(view, request, &index, &bucket_ids)?;
     let scores = {
         let model = cache.get(request.model, config)?;
         model.predict(&coarse)?
@@ -828,7 +802,6 @@ fn serve_with<D: DatabaseView + ?Sized>(
     request: &RankRequest,
     config: &ServeConfig,
     cache: &mut ModelCache,
-    indices: &BucketIndexMap,
 ) -> std::result::Result<RankResponse, ServeError> {
     validate_request(view, request)?;
     let plan = view.plan_machines(&request.restrict);
@@ -841,7 +814,7 @@ fn serve_with<D: DatabaseView + ?Sized>(
     if targets.is_empty() {
         return Err(ServeError::EmptyCandidates);
     }
-    let (targets, approx) = approx_filter(view, request, config, cache, indices, targets)?;
+    let (targets, approx) = approx_filter(view, request, config, cache, targets)?;
     if targets.is_empty() {
         // Unreachable by construction (the kept buckets each hold at
         // least one target), but a typed error beats an empty ranking.
@@ -902,9 +875,7 @@ pub fn serve_one<D: DatabaseView + ?Sized>(
     request: &RankRequest,
     config: &ServeConfig,
 ) -> std::result::Result<RankResponse, ServeError> {
-    let mut cache = ModelCache::default();
-    let indices = build_bucket_indices(db, std::slice::from_ref(request));
-    serve_with(db, request, config, &mut cache, &indices)
+    serve_with(db, request, config, &mut ModelCache::default())
 }
 
 /// Serves a batch of requests in one pass over the persistent worker
@@ -916,23 +887,23 @@ pub fn serve_one<D: DatabaseView + ?Sized>(
 /// can neither poison nor panic the batch, on either backing at any
 /// thread count.
 ///
-/// Each worker reads the shared view and keeps a model cache as scratch;
-/// requests are otherwise independent, so the result vector is
-/// bitwise-identical at any thread count and under any batch permutation
-/// (permuting requests permutes results identically).
+/// Each worker reads the shared view and keeps a model cache as scratch.
+/// An approx request takes its bucket index from
+/// [`DatabaseView::bucket_index`] on its own worker, so the first request
+/// after a write builds the index while the other workers serve. The index
+/// is a pure function of the catalog bytes, and requests are otherwise
+/// independent, so the result vector is bitwise-identical at any thread
+/// count and under any batch permutation (permuting requests permutes
+/// results identically).
 pub fn serve_batch<D: DatabaseView + ?Sized>(
     db: &D,
     requests: &[RankRequest],
     config: &ServeConfig,
 ) -> Vec<std::result::Result<RankResponse, ServeError>> {
-    // One shared index build per distinct (n_components, n_buckets) pair
-    // across the whole batch; built on the batch thread so every worker
-    // sees the identical (bitwise) index regardless of thread count.
-    let indices = build_bucket_indices(db, requests);
     config
         .parallelism
         .par_map_with(2, requests, ModelCache::default, |cache, request| {
-            serve_with(db, request, config, cache, &indices)
+            serve_with(db, request, config, cache)
         })
 }
 
@@ -1021,6 +992,8 @@ pub fn serve_batch_cached<D: DatabaseView + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use datatrans_dataset::generator::{generate, DatasetConfig};
     use datatrans_dataset::machine::ProcessorFamily;
     use datatrans_dataset::sharded::ShardedPerfDatabase;
@@ -1578,6 +1551,14 @@ mod tests {
                 ApproxConfig {
                     n_buckets: 0,
                     probe_buckets: 0,
+                    ..reference
+                },
+                "n_buckets",
+            ),
+            (
+                // One past the catalog's machine count.
+                ApproxConfig {
+                    n_buckets: db.n_machines() + 1,
                     ..reference
                 },
                 "n_buckets",

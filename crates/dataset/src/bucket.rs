@@ -26,12 +26,108 @@
 //! [`DatabaseView::catalog_version`] it was built at; after an ingest
 //! moves the version, rebuilding from the grown catalog is **identical to
 //! building from scratch** (there is no incremental state to drift).
+//!
+//! Because the index depends on the catalog bytes alone, each backing
+//! builds it once per catalog version: [`DatabaseView::bucket_index`]
+//! answers from a `BucketMemo` the backing owns, and the backing's
+//! `push_machines` clears that memo. A memoized index is the very value
+//! [`BucketIndex::build`] returns, so which thread built it, and when,
+//! never shows in a served byte.
+
+use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use datatrans_linalg::Matrix;
 use datatrans_ml::pca::Pca;
 
 use crate::view::DatabaseView;
 use crate::{DatasetError, Result};
+
+/// Most indexes one [`BucketMemo`] holds. `(n_components, n_buckets)`
+/// arrives off the wire, so the memo is bounded; past the bound the
+/// oldest entry goes first.
+const MEMO_CAPACITY: usize = 8;
+
+/// One memoized build: empty until its first caller finishes building.
+type MemoCell = Arc<OnceLock<Result<Arc<BucketIndex>>>>;
+
+/// A backing's memo of built bucket indexes for its current catalog,
+/// keyed by `(n_components, n_buckets)` and holding at most
+/// [`MEMO_CAPACITY`] entries.
+///
+/// The lock is held only to find or insert a key's cell; the build runs
+/// outside it, in the cell's [`OnceLock::get_or_init`]. A second caller
+/// of a key that is being built waits for that build instead of
+/// repeating it, and distinct keys build in parallel. A build error is
+/// memoized like an index (the same bytes give the same error); a build
+/// that panics leaves its cell empty for the next caller; a poisoned lock
+/// degrades to an unmemoized build.
+///
+/// The memo is a cache, not part of the catalog's value: a clone starts
+/// empty, equality ignores it, and `Debug` elides it.
+#[derive(Default)]
+pub(crate) struct BucketMemo {
+    entries: Mutex<Vec<((usize, usize), MemoCell)>>,
+}
+
+impl BucketMemo {
+    /// The index of `db` at `(n_components, n_buckets)`: the memoized one,
+    /// or a fresh [`BucketIndex::build`] that is memoized for the next
+    /// caller. `db` must be the catalog that owns this memo.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`BucketIndex::build`] returns for these parameters.
+    pub(crate) fn get_or_build<D: DatabaseView + ?Sized>(
+        &self,
+        db: &D,
+        n_components: usize,
+        n_buckets: usize,
+    ) -> Result<Arc<BucketIndex>> {
+        let build = || BucketIndex::build(db, n_components, n_buckets).map(Arc::new);
+        let key = (n_components, n_buckets);
+        let cell = {
+            let Ok(mut entries) = self.entries.lock() else {
+                return build();
+            };
+            match entries.iter().find(|(k, _)| *k == key) {
+                Some((_, cell)) => Arc::clone(cell),
+                None => {
+                    if entries.len() == MEMO_CAPACITY {
+                        entries.remove(0);
+                    }
+                    let cell = MemoCell::default();
+                    entries.push((key, Arc::clone(&cell)));
+                    cell
+                }
+            }
+        };
+        cell.get_or_init(build).clone()
+    }
+
+    /// Forgets every memoized index (the catalog changed).
+    pub(crate) fn clear(&mut self) {
+        *self = BucketMemo::default();
+    }
+}
+
+impl Clone for BucketMemo {
+    fn clone(&self) -> Self {
+        BucketMemo::default()
+    }
+}
+
+impl PartialEq for BucketMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for BucketMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BucketMemo").finish_non_exhaustive()
+    }
+}
 
 /// A fitted bucket index over one catalog version.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,8 +160,9 @@ impl BucketIndex {
     ///
     /// # Errors
     ///
-    /// * [`DatasetError::InvalidConfig`] if `n_buckets` is zero or
-    ///   `n_components` is zero / exceeds the benchmark count.
+    /// * [`DatasetError::InvalidConfig`] if `n_buckets` is zero or exceeds
+    ///   the machine count (the build allocates one member list per
+    ///   bucket), or `n_components` is zero / exceeds the benchmark count.
     /// * [`DatasetError::IndexBuild`] if the projection cannot be fitted:
     ///   fewer than two machines, non-positive scores (the log transform
     ///   needs ratios), or a degenerate constant-variance catalog.
@@ -76,10 +173,10 @@ impl BucketIndex {
     ) -> Result<Self> {
         let n_benchmarks = db.n_benchmarks();
         let n_machines = db.n_machines();
-        if n_buckets == 0 {
+        if n_buckets == 0 || n_buckets > n_machines {
             return Err(DatasetError::InvalidConfig {
                 name: "n_buckets",
-                value: "0".to_owned(),
+                value: format!("{n_buckets} ({n_machines} machines)"),
             });
         }
         if n_components == 0 || n_components > n_benchmarks {
@@ -270,11 +367,98 @@ fn reconstruct_column(pca: &Pca, z: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::{MachineIngest, PerfDatabase};
     use crate::generator::{generate, synthesize_ingest, DatasetConfig};
     use crate::sharded::ShardedPerfDatabase;
 
-    fn db() -> crate::database::PerfDatabase {
+    fn db() -> PerfDatabase {
         generate(&DatasetConfig::default()).unwrap()
+    }
+
+    /// `a` and `b` carry the same bits: `Debug` prints every `f64` in its
+    /// shortest round-trip form, so equal text means equal bits.
+    fn assert_same_bits(a: &BucketIndex, b: &BucketIndex) {
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    /// The memo contract on one backing: a repeat call hands out the
+    /// memoized index, a push drops it, keys evicted past the cap rebuild
+    /// correctly, and a clone starts empty yet compares equal.
+    fn check_memo<D>(mut db: D, push: fn(&mut D, &[MachineIngest]) -> Result<()>)
+    where
+        D: DatabaseView + Clone + PartialEq + fmt::Debug,
+    {
+        let first = db.bucket_index(3, 8).unwrap();
+        let again = db.bucket_index(3, 8).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "second call rebuilt");
+        assert_same_bits(&first, &BucketIndex::build(&db, 3, 8).unwrap());
+
+        let copy = db.clone();
+        assert_eq!(copy, db, "the memo is not part of the catalog's value");
+        let from_copy = copy.bucket_index(3, 8).unwrap();
+        assert!(!Arc::ptr_eq(&first, &from_copy), "a clone shares the memo");
+        assert_same_bits(&first, &from_copy);
+
+        let batch = synthesize_ingest(7, db.benchmarks(), 5, 0.015).unwrap();
+        push(&mut db, &batch).unwrap();
+        let grown = db.bucket_index(3, 8).unwrap();
+        assert!(!Arc::ptr_eq(&first, &grown), "push kept the stale index");
+        assert_eq!(grown.catalog_version(), 1);
+        assert_eq!(grown.n_machines(), 122);
+        assert_same_bits(&grown, &BucketIndex::build(&db, 3, 8).unwrap());
+
+        // Past the cap the oldest key goes first; the newest stays.
+        let newest = (1..=MEMO_CAPACITY)
+            .map(|b| db.bucket_index(1, b).unwrap())
+            .last()
+            .unwrap();
+        let rebuilt = db.bucket_index(3, 8).unwrap();
+        assert!(!Arc::ptr_eq(&grown, &rebuilt), "evicted key still held");
+        assert_same_bits(&rebuilt, &BucketIndex::build(&db, 3, 8).unwrap());
+        let kept = db.bucket_index(1, MEMO_CAPACITY).unwrap();
+        assert!(Arc::ptr_eq(&newest, &kept), "newest key evicted");
+    }
+
+    #[test]
+    fn dense_memo_hits_drops_on_push_and_evicts_oldest() {
+        check_memo(db(), PerfDatabase::push_machines);
+    }
+
+    #[test]
+    fn sharded_memo_hits_drops_on_push_and_evicts_oldest() {
+        let sharded = ShardedPerfDatabase::from_dense(&db(), 8).unwrap();
+        check_memo(sharded, ShardedPerfDatabase::push_machines);
+    }
+
+    #[test]
+    fn memo_errors_are_memoized_like_indexes() {
+        let db = db();
+        let err = db.bucket_index(30, 4).unwrap_err();
+        assert_eq!(db.bucket_index(30, 4).unwrap_err(), err);
+        assert_eq!(BucketIndex::build(&db, 30, 4).unwrap_err(), err);
+    }
+
+    #[test]
+    fn concurrent_callers_of_one_key_share_one_build() {
+        let dense = db();
+        let sharded = ShardedPerfDatabase::from_dense(&dense, 8).unwrap();
+        let views: [&dyn DatabaseView; 2] = [&dense, &sharded];
+        for view in views {
+            let barrier = std::sync::Barrier::new(4);
+            let got: Vec<Arc<BucketIndex>> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..4)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            view.bucket_index(2, 6).unwrap()
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            assert!(got.iter().all(|index| Arc::ptr_eq(index, &got[0])));
+            assert_same_bits(&got[0], &BucketIndex::build(view, 2, 6).unwrap());
+        }
     }
 
     #[test]
@@ -356,13 +540,15 @@ mod tests {
     #[test]
     fn degenerate_parameters_are_typed_errors() {
         let db = db();
-        assert!(matches!(
-            BucketIndex::build(&db, 3, 0),
-            Err(DatasetError::InvalidConfig {
-                name: "n_buckets",
-                ..
-            })
-        ));
+        for n_buckets in [0, db.n_machines() + 1] {
+            assert!(matches!(
+                BucketIndex::build(&db, 3, n_buckets),
+                Err(DatasetError::InvalidConfig {
+                    name: "n_buckets",
+                    ..
+                })
+            ));
+        }
         assert!(matches!(
             BucketIndex::build(&db, 0, 4),
             Err(DatasetError::InvalidConfig {

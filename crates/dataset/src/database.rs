@@ -1,9 +1,12 @@
 //! The assembled performance database: benchmarks × machines score matrix
 //! plus metadata, the synthetic stand-in for the SPEC results archive.
 
+use std::sync::Arc;
+
 use datatrans_linalg::{Matrix, VecView};
 
 use crate::benchmark::Benchmark;
+use crate::bucket::{BucketIndex, BucketMemo};
 use crate::machine::{Machine, ProcessorFamily};
 use crate::view::{DatabaseView, RowSegment};
 use crate::{DatasetError, Result};
@@ -62,6 +65,8 @@ pub struct PerfDatabase {
     /// Ingest counter: 0 for a freshly built catalog, +1 per non-empty
     /// [`PerfDatabase::push_machines`] call.
     catalog_version: u64,
+    /// Bucket indexes built over this catalog version.
+    bucket_memo: BucketMemo,
 }
 
 impl PerfDatabase {
@@ -106,6 +111,7 @@ impl PerfDatabase {
             machines,
             scores,
             catalog_version: 0,
+            bucket_memo: BucketMemo::default(),
         })
     }
 
@@ -125,7 +131,7 @@ impl PerfDatabase {
     }
 
     /// Appends machines (columns) to the database, bumping the catalog
-    /// version.
+    /// version and dropping the memoized bucket indexes.
     ///
     /// An empty batch is a no-op and does **not** bump the version — it
     /// changes nothing, so it must not invalidate cached results. Scores
@@ -155,6 +161,7 @@ impl PerfDatabase {
         self.machines
             .extend(batch.iter().map(|e| e.machine.clone()));
         self.catalog_version += 1;
+        self.bucket_memo.clear();
         Ok(())
     }
 
@@ -320,6 +327,10 @@ impl DatabaseView for PerfDatabase {
 
     fn catalog_version(&self) -> u64 {
         PerfDatabase::catalog_version(self)
+    }
+
+    fn bucket_index(&self, n_components: usize, n_buckets: usize) -> Result<Arc<BucketIndex>> {
+        self.bucket_memo.get_or_build(self, n_components, n_buckets)
     }
 }
 

@@ -38,6 +38,8 @@
 //!   approximate serving: machines projected into log-score component
 //!   space and sliced into equal-width buckets along the leading
 //!   component, with reconstructed centroid columns for coarse ranking.
+//!   Both backings memoize it per catalog version
+//!   ([`view::DatabaseView::bucket_index`]).
 //!
 //! # Example
 //!

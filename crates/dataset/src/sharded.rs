@@ -36,9 +36,12 @@
 //! bitwise-identical to the same catalog built at once
 //! (`tests/ingest_cache.rs` pins this, including across a split).
 
+use std::sync::Arc;
+
 use datatrans_linalg::{Matrix, VecView};
 
 use crate::benchmark::Benchmark;
+use crate::bucket::{BucketIndex, BucketMemo};
 use crate::database::{validate_ingest, MachineIngest, PerfDatabase};
 use crate::machine::Machine;
 use crate::query::{MachineFilter, PreparedFilter, QueryPlan, ShardStats};
@@ -117,6 +120,8 @@ pub struct ShardedPerfDatabase {
     /// Ingest counter: 0 at construction, +1 per non-empty
     /// [`Self::push_machines`] call.
     catalog_version: u64,
+    /// Bucket indexes built over this catalog version.
+    bucket_memo: BucketMemo,
 }
 
 impl ShardedPerfDatabase {
@@ -189,6 +194,7 @@ impl ShardedPerfDatabase {
             balanced: true,
             split_width: None,
             catalog_version: db.catalog_version(),
+            bucket_memo: BucketMemo::default(),
         })
     }
 
@@ -226,7 +232,7 @@ impl ShardedPerfDatabase {
     /// Appends machines to the **tail shard**, updating its
     /// [`ShardStats`] in place, then splits the tail into balanced pieces
     /// if it grew past the [`Self::with_split_width`] threshold. Bumps the
-    /// catalog version.
+    /// catalog version and drops the memoized bucket indexes.
     ///
     /// An empty batch is a no-op and does **not** bump the version. Scores
     /// are stored verbatim — a catalog grown through this method is
@@ -265,6 +271,7 @@ impl ShardedPerfDatabase {
         // shard_of falls back to binary search.
         self.balanced = false;
         self.catalog_version += 1;
+        self.bucket_memo.clear();
         Ok(())
     }
 
@@ -517,6 +524,10 @@ impl DatabaseView for ShardedPerfDatabase {
 
     fn catalog_version(&self) -> u64 {
         self.catalog_version
+    }
+
+    fn bucket_index(&self, n_components: usize, n_buckets: usize) -> Result<Arc<BucketIndex>> {
+        self.bucket_memo.get_or_build(self, n_components, n_buckets)
     }
 
     fn plan_machines(&self, filter: &MachineFilter) -> QueryPlan {

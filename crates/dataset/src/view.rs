@@ -17,11 +17,16 @@
 //! submatrix in request order. A sharded backing must return exactly the
 //! same `f64` bits as the dense backing it was built from — values are
 //! stored, never recomputed, so partitioning can never perturb a
-//! prediction.
+//! prediction. [`DatabaseView::bucket_index`] returns exactly what
+//! [`crate::bucket::BucketIndex::build`] returns on the current catalog,
+//! whether the backing builds it on the call or hands out a memoized one.
+
+use std::sync::Arc;
 
 use datatrans_linalg::{Matrix, VecView};
 
 use crate::benchmark::Benchmark;
+use crate::bucket::BucketIndex;
 use crate::machine::{Machine, ProcessorFamily};
 use crate::query::{scan_machines, MachineFilter, QueryPlan};
 use crate::{DatasetError, Result};
@@ -102,6 +107,24 @@ pub trait DatabaseView: Sync {
     /// view never changes).
     fn catalog_version(&self) -> u64 {
         0
+    }
+
+    /// The PCA bucket index over the current catalog at
+    /// `(n_components, n_buckets)`, for approximate serving.
+    ///
+    /// **Contract:** the result equals [`BucketIndex::build`] on the
+    /// current catalog, bit for bit (errors included), however and
+    /// whenever it was obtained. The default builds afresh on every call.
+    /// [`crate::database::PerfDatabase`] and
+    /// [`crate::sharded::ShardedPerfDatabase`] answer from a memo that
+    /// their `push_machines` clears, so each distinct index is built once
+    /// per catalog version, by the first caller that needs it.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`BucketIndex::build`] returns for these parameters.
+    fn bucket_index(&self, n_components: usize, n_buckets: usize) -> Result<Arc<BucketIndex>> {
+        BucketIndex::build(self, n_components, n_buckets).map(Arc::new)
     }
 
     /// Resolves a machine restriction to a [`QueryPlan`]: the matching

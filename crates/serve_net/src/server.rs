@@ -56,7 +56,9 @@
 //! drains its queue (the channel yields buffered misses before reporting
 //! disconnect), writers flush every pending response, and only then do
 //! connections close. [`NetServer::join`] performs the drain and returns
-//! the final [`ServerStats`].
+//! the final [`ServerStats`]. Until then, the accept loop reaps the
+//! threads of closed connections each time it accepts a new one, so the
+//! server holds handles for its open connections only.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -421,6 +423,10 @@ fn run_accept_loop(
                 shared.stats.connections.fetch_add(1, Ordering::Relaxed);
                 let handles = spawn_connection(stream, work_tx.clone(), shared);
                 if let Ok(mut all) = conn_handles.lock() {
+                    // Drop the handles of connections that have closed, so
+                    // the list holds the open connections only; dropping a
+                    // finished thread's handle frees its stack.
+                    all.retain(|handle| !handle.is_finished());
                     all.extend(handles);
                 }
             }
@@ -746,6 +752,27 @@ mod tests {
         let mut response = String::new();
         reader.read_line(&mut response).unwrap();
         response.trim_end().to_owned()
+    }
+
+    #[test]
+    fn closed_connections_do_not_accumulate_thread_handles() {
+        let server = NetServer::spawn(test_db(), "127.0.0.1:0", NetServerConfig::quick()).unwrap();
+        for _ in 0..200 {
+            let (mut reader, mut stream) = connect(&server);
+            assert_eq!(request_line(&mut reader, &mut stream, "ping"), "ok pong");
+        }
+        // Let the last connections' threads see EOF, then accept one more:
+        // the accept that follows reaps every finished pair.
+        thread::sleep(Duration::from_millis(200));
+        let (mut reader, mut stream) = connect(&server);
+        assert_eq!(request_line(&mut reader, &mut stream, "ping"), "ok pong");
+        let retained = server.conn_handles.lock().unwrap().len();
+        assert!(
+            retained <= 8,
+            "{retained} handles retained after 201 connections"
+        );
+        drop((reader, stream));
+        assert_eq!(server.join().connections, 201);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //!   `Auto`), dense vs 8-shard backings, permuted batch order, and cache
 //!   warmth;
 //! * the bucket index after a streaming ingest is indistinguishable from
-//!   one built from scratch: approx serving on a grown catalog matches the
-//!   same catalog built at once, bitwise;
+//!   one built from scratch: each backing memoizes its index per catalog
+//!   version and `push_machines` drops the memo, so approx serving on a
+//!   grown catalog whose pre-ingest index was memoized matches the same
+//!   catalog built at once, bitwise;
 //! * `probe_buckets = n_buckets` short-circuits nothing and reproduces the
 //!   exact ranking bit for bit;
 //! * exact and approx variants of the same request never collide in the
@@ -259,11 +261,11 @@ fn prefix_database(db: &PerfDatabase, keep: usize) -> PerfDatabase {
     .expect("prefix slice is a valid database")
 }
 
-/// The bucket index is derived afresh from the current catalog on every
-/// serve, so a catalog grown through `push_machines` must serve approx
+/// Each backing memoizes its bucket index until `push_machines` drops
+/// it, so a catalog grown through `push_machines` must serve approx
 /// requests bitwise-identically to the same catalog built at once — on
-/// both backings, including a cached serve whose pre-ingest entries the
-/// version move invalidates.
+/// both backings, each warmed with the pre-ingest index, and including a
+/// cached serve whose pre-ingest entries the version move invalidates.
 #[test]
 fn index_rebuilt_after_ingest_equals_built_from_scratch() {
     use datatrans::dataset::database::MachineIngest;
@@ -290,12 +292,19 @@ fn index_rebuilt_after_ingest_equals_built_from_scratch() {
     };
     let config = quick_config(Parallelism::Sequential);
 
-    // Warm a cache on the 100-machine prefix, then ingest: the version
-    // move must force a fresh evaluation on the grown catalog.
+    // Warm a cache and both backings' index memos on the 100-machine
+    // prefix, then ingest: the version move must force a fresh evaluation
+    // on the grown catalog, against a fresh index.
     let mut cache = ResultCache::new(8);
     let requests = [request.clone()];
     let before = serve_batch_cached(&grown_dense, &requests, &config, &mut cache);
     assert_eq!(before.misses, 1);
+    let before_sharded = serve_one(&grown_sharded, &request, &config).expect("prefix sharded");
+    assert_responses_bitwise_eq(
+        &rankings_only(&ok_all(before.responses, "prefix dense")),
+        &rankings_only(&[before_sharded]),
+        "prefix dense vs prefix sharded",
+    );
 
     grown_dense.push_machines(&tail).expect("dense ingest");
     grown_sharded.push_machines(&tail).expect("sharded ingest");

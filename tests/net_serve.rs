@@ -35,6 +35,7 @@ use datatrans::core::serve::{
     serve_batch, AppOfInterest, ApproxConfig, ConfidenceConfig, ModelKind, RankRequest, ServeConfig,
 };
 use datatrans::dataset::benchmark::Benchmark;
+use datatrans::dataset::bucket::BucketIndex;
 use datatrans::dataset::database::PerfDatabase;
 use datatrans::dataset::generator::{generate, DatasetConfig};
 use datatrans::dataset::machine::{Machine, ProcessorFamily};
@@ -235,6 +236,9 @@ fn fuzz_corpus(seed: u64) -> Vec<Vec<u8>> {
         // Well-formed approx triple with out-of-domain values: parses,
         // then fails serving with a typed invalid-approx error.
         b"rank model=nnt app=suite:0 predictive=0,30,60 approx=0,8,9".to_vec(),
+        // More buckets than machines: refused before the index build
+        // would try to allocate a member list per bucket.
+        b"rank model=nnt app=suite:0 predictive=0,30,60 approx=1,1000000000000,1".to_vec(),
         // Valid approx request: parses and serves.
         b"rank model=nnt app=suite:0 predictive=0,30,60 top_k=3 approx=2,8,3".to_vec(),
     ];
@@ -479,6 +483,13 @@ impl DatabaseView for FaultyView {
     }
     fn catalog_version(&self) -> u64 {
         self.inner.catalog_version()
+    }
+    fn bucket_index(
+        &self,
+        n_components: usize,
+        n_buckets: usize,
+    ) -> Result<Arc<BucketIndex>, DatasetError> {
+        self.inner.bucket_index(n_components, n_buckets)
     }
     fn plan_machines(&self, filter: &MachineFilter) -> QueryPlan {
         match filter.min_score {
