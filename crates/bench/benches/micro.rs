@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the numerical kernels underpinning the pipeline:
 //! the three predictors on one task, dataset generation, Spearman,
-//! k-medoids, QR least squares, MLP training, the GA-kNN fitness loop,
+//! k-medoids, MLP training, the GA-kNN fitness loop,
 //! top-k neighbour selection vs a full sort, the blocked GEMV kernel vs
 //! the scalar loop it replaced, the unrolled lane-tree kernels vs their
 //! scalar references (`gemv_unrolled`), the cache-tiled sq-diff builder vs
@@ -36,7 +36,7 @@ use datatrans_dataset::query::MachineFilter;
 use datatrans_dataset::sharded::ShardedPerfDatabase;
 use datatrans_dataset::view::DatabaseView;
 use datatrans_experiments::serve::synth_requests;
-use datatrans_linalg::{solve::lstsq, Matrix};
+use datatrans_linalg::Matrix;
 use datatrans_ml::cluster::{k_medoids, KMedoidsConfig};
 use datatrans_ml::ga::{GaConfig, GeneticAlgorithm};
 use datatrans_ml::knn::{select_k_nearest, KnnIndex, Neighbor};
@@ -107,11 +107,6 @@ fn bench_substrates(c: &mut Criterion) {
         b.iter(|| {
             std::hint::black_box(k_medoids(&points, &KMedoidsConfig::new(5, 7)).expect("kmedoids"))
         })
-    });
-    group.bench_function("qr_lstsq_100x10", |b| {
-        let a = Matrix::from_fn(100, 10, |i, j| ((i * 13 + j * 7) % 23) as f64 - 11.0);
-        let rhs: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).cos() * 10.0).collect();
-        b.iter(|| std::hint::black_box(lstsq(&a, &rhs).expect("lstsq")))
     });
     group.bench_function("mlp_fit_100x28", |b| {
         let x = Matrix::from_fn(100, 28, |i, j| ((i + j) % 17) as f64 / 17.0);

@@ -94,61 +94,6 @@ pub fn schedule_oracle(
     })
 }
 
-/// Min-min scheduling with predicted times: repeatedly assign the
-/// (job, node) pair with the globally earliest completion time. Tends to
-/// beat plain list scheduling when job-node affinities are strong.
-///
-/// # Errors
-///
-/// Returns [`CoreError`] for empty inputs or prediction failures.
-pub fn schedule_min_min(
-    db: &PerfDatabase,
-    jobs: &[WorkloadCharacteristics],
-    predictive: &[usize],
-    nodes: &[usize],
-    method: &dyn Predictor,
-    seed: u64,
-) -> Result<Schedule> {
-    if jobs.is_empty() {
-        return Err(CoreError::invalid_task("no jobs to schedule"));
-    }
-    let mut predicted = Vec::with_capacity(jobs.len());
-    for (ji, job) in jobs.iter().enumerate() {
-        let task = PredictionTask::external_app(db, job, predictive, nodes, seed ^ (ji as u64))?;
-        predicted.push(method.predict(&task)?);
-    }
-    let time = |ji: usize, ni: usize| jobs[ji].instr_e9 / predicted[ji][ni].max(1e-9);
-
-    let mut unassigned: Vec<usize> = (0..jobs.len()).collect();
-    let mut node_load = vec![0.0; nodes.len()];
-    let mut assignments = Vec::with_capacity(jobs.len());
-    while !unassigned.is_empty() {
-        // The (job, node) pair with the globally minimal completion time.
-        let mut best: Option<(usize, usize, f64)> = None;
-        for (ui, &ji) in unassigned.iter().enumerate() {
-            for (ni, &load) in node_load.iter().enumerate() {
-                let finish = load + time(ji, ni);
-                if best.is_none_or(|(_, _, f)| finish < f) {
-                    best = Some((ui, ni, finish));
-                }
-            }
-        }
-        let (ui, ni, finish) = best.expect("unassigned is non-empty");
-        let ji = unassigned.swap_remove(ui);
-        node_load[ni] = finish;
-        assignments.push(Assignment {
-            job: ji,
-            node: nodes[ni],
-        });
-    }
-    assignments.sort_by_key(|a| a.job);
-    let makespan = evaluate_makespan(db, jobs, nodes, &assignments);
-    Ok(Schedule {
-        assignments,
-        makespan_s: makespan,
-    })
-}
-
 /// Naive baseline: round-robin assignment ignoring performance entirely.
 pub fn schedule_round_robin(
     db: &PerfDatabase,
@@ -295,24 +240,6 @@ mod tests {
         // should be within 2x of the oracle's makespan on this mix.
         assert!(predicted.makespan_s <= 2.0 * oracle.makespan_s);
         assert!(oracle.makespan_s > 0.0);
-    }
-
-    #[test]
-    fn min_min_assigns_all_jobs_and_beats_naive() {
-        let (db, jobs, predictive, nodes) = setup();
-        let min_min =
-            schedule_min_min(&db, &jobs, &predictive, &nodes, &MlpT::default(), 1).unwrap();
-        assert_eq!(min_min.assignments.len(), jobs.len());
-        let job_set: std::collections::BTreeSet<usize> =
-            min_min.assignments.iter().map(|a| a.job).collect();
-        assert_eq!(job_set.len(), jobs.len());
-        let naive = schedule_round_robin(&db, &jobs, &nodes).unwrap();
-        assert!(
-            min_min.makespan_s < naive.makespan_s,
-            "min-min {:.1}s vs round-robin {:.1}s",
-            min_min.makespan_s,
-            naive.makespan_s
-        );
     }
 
     #[test]

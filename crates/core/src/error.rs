@@ -97,7 +97,7 @@ mod tests {
         assert!(e.source().is_some());
         let e: CoreError = StatsError::ConstantInput.into();
         assert!(e.source().is_some());
-        let e: CoreError = LinalgError::Singular.into();
+        let e: CoreError = LinalgError::NonFinite.into();
         assert!(e.source().is_some());
         let e: CoreError = DatasetError::NotFound {
             what: "benchmark",

@@ -19,8 +19,9 @@
 //!   processor-family cross-validation (Table 2, Figures 6–7), temporal
 //!   prediction (Table 3), limited predictive sets (Table 4), and the
 //!   goodness-of-fit curve (Figure 8).
-//! * [`apps`] — application layers from §4: purchasing advisor,
-//!   heterogeneous-cluster scheduler, and design-space exploration.
+//! * [`apps`] — application layers from §4: heterogeneous-cluster
+//!   scheduling and design-space exploration. The purchasing advisor
+//!   (`examples/purchasing_advisor.rs`) serves through [`serve`].
 //! * [`serve`] — the batched ranking-query front end: plan (with shard
 //!   pruning) → gather → predict → rank, many requests per pool pass,
 //!   bitwise-identical at any thread count and on either backing. Each

@@ -34,24 +34,3 @@ pub trait Predictor {
     /// underlying model fails to fit.
     fn predict(&self, task: &PredictionTask) -> Result<Vec<f64>>;
 }
-
-/// The three methods of the paper's evaluation, boxed for uniform iteration
-/// in experiment harnesses.
-pub fn paper_methods() -> Vec<Box<dyn Predictor + Send + Sync>> {
-    vec![
-        Box::new(NnT::default()),
-        Box::new(MlpT::default()),
-        Box::new(GaKnn::default()),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_methods_named_like_paper() {
-        let names: Vec<&str> = paper_methods().iter().map(|m| m.name()).collect();
-        assert_eq!(names, vec!["NN^T", "MLP^T", "GA-kNN"]);
-    }
-}

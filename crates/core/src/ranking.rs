@@ -1,7 +1,7 @@
 //! Machine rankings and the paper's accuracy metrics (§6.1).
 
 use datatrans_stats::correlation::spearman;
-use datatrans_stats::error_metrics::{mean_relative_error_pct, top1_error_pct, topn_error_pct};
+use datatrans_stats::error_metrics::{mean_relative_error_pct, top1_error_pct};
 use datatrans_stats::rank::argsort_descending;
 
 use crate::Result;
@@ -95,16 +95,6 @@ impl EvalMetrics {
             top1_error_pct: top1_error_pct(predicted, actual)?,
             mean_error_pct: mean_relative_error_pct(predicted, actual)?,
         })
-    }
-
-    /// Top-n generalization of the top-1 error (extension beyond the
-    /// paper, used by the purchasing-advisor example).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`EvalMetrics::compute`].
-    pub fn topn_error(predicted: &[f64], actual: &[f64], n: usize) -> Result<f64> {
-        Ok(topn_error_pct(predicted, actual, n)?)
     }
 }
 

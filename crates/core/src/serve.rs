@@ -240,11 +240,19 @@ pub struct ConfidenceConfig {
     /// the SPEC run-to-run order of magnitude). `0` yields degenerate
     /// zero-width intervals: every machine is its own tie group.
     pub sigma: f64,
-    /// Synthetic measurements per machine, `>= 1` (default `8`).
+    /// Synthetic measurements per machine, in `1..=64` (default `8`).
+    /// The cap bounds the `repeats × candidates` measurements one request
+    /// allocates.
     pub repeats: usize,
-    /// Bootstrap replicates, `>= 1` (default `200`).
+    /// Bootstrap replicates, in `1..=2000` (default `200`). The cap bounds
+    /// the replicates one request collects.
     pub resamples: usize,
 }
+
+/// Largest [`ConfidenceConfig::repeats`]: about 8× the default.
+const MAX_CONFIDENCE_REPEATS: usize = 64;
+/// Largest [`ConfidenceConfig::resamples`]: 10× the default.
+const MAX_CONFIDENCE_RESAMPLES: usize = 2_000;
 
 impl Default for ConfidenceConfig {
     fn default() -> Self {
@@ -277,16 +285,16 @@ impl ConfidenceConfig {
                 value: self.sigma,
             });
         }
-        if self.repeats == 0 {
+        if !(1..=MAX_CONFIDENCE_REPEATS).contains(&self.repeats) {
             return Err(ServeError::InvalidConfidence {
                 name: "repeats",
-                value: 0.0,
+                value: self.repeats as f64,
             });
         }
-        if self.resamples == 0 {
+        if !(1..=MAX_CONFIDENCE_RESAMPLES).contains(&self.resamples) {
             return Err(ServeError::InvalidConfidence {
                 name: "resamples",
-                value: 0.0,
+                value: self.resamples as f64,
             });
         }
         Ok(())
@@ -1211,7 +1219,21 @@ mod tests {
             ),
             (
                 ConfidenceConfig {
+                    repeats: MAX_CONFIDENCE_REPEATS + 1,
+                    ..ConfidenceConfig::default()
+                },
+                "repeats",
+            ),
+            (
+                ConfidenceConfig {
                     resamples: 0,
+                    ..ConfidenceConfig::default()
+                },
+                "resamples",
+            ),
+            (
+                ConfidenceConfig {
+                    resamples: MAX_CONFIDENCE_RESAMPLES + 1,
                     ..ConfidenceConfig::default()
                 },
                 "resamples",

@@ -127,18 +127,6 @@ pub fn spec_cpu2006() -> Vec<Benchmark> {
     ]
 }
 
-/// Names of the benchmarks the paper singles out as outliers.
-pub fn outlier_benchmarks() -> &'static [&'static str] {
-    &[
-        "libquantum",
-        "cactusADM",
-        "leslie3d",
-        "lbm",
-        "namd",
-        "hmmer",
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,14 +165,6 @@ mod tests {
                 "{} has implausible characteristics",
                 b.name
             );
-        }
-    }
-
-    #[test]
-    fn outliers_exist_in_catalog() {
-        let suite = spec_cpu2006();
-        for name in outlier_benchmarks() {
-            assert!(suite.iter().any(|b| b.name == *name), "{name} missing");
         }
     }
 

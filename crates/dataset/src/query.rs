@@ -70,12 +70,6 @@ impl MachineFilter {
         }
     }
 
-    /// Adds a family clause.
-    pub fn with_family(mut self, family: ProcessorFamily) -> Self {
-        self.family = Some(family);
-        self
-    }
-
     /// Adds release-year bounds (inclusive).
     pub fn with_years(mut self, min: u16, max: u16) -> Self {
         self.year_min = Some(min);
@@ -93,11 +87,6 @@ impl MachineFilter {
     pub fn with_subset(mut self, subset: Vec<usize>) -> Self {
         self.subset = Some(subset);
         self
-    }
-
-    /// True when the filter has no clauses (matches everything).
-    pub fn is_all(&self) -> bool {
-        *self == MachineFilter::default()
     }
 
     /// Whether machine `m` of `db` satisfies every clause.
@@ -389,7 +378,6 @@ mod tests {
     #[test]
     fn all_filter_matches_everything() {
         let db = generate(&DatasetConfig::default()).unwrap();
-        assert!(MachineFilter::all().is_all());
         assert_eq!(
             scan_machines(&db, &MachineFilter::all()),
             (0..db.n_machines()).collect::<Vec<_>>()

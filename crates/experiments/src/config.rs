@@ -57,12 +57,6 @@ pub struct ExperimentConfig {
     /// Concurrent client connections opened by the `repro net-serve`
     /// loopback load driver.
     pub net_connections: usize,
-    /// Most cache misses the network front end evaluates in one pool
-    /// pass.
-    pub net_max_batch: usize,
-    /// Per-connection in-flight response budget of the network front end
-    /// (backpressure: the reader stops pulling requests past this).
-    pub net_max_inflight: usize,
 }
 
 impl Default for ExperimentConfig {
@@ -81,8 +75,6 @@ impl Default for ExperimentConfig {
             serve_top_k: 5,
             serve_ingest: false,
             net_connections: 4,
-            net_max_batch: 32,
-            net_max_inflight: 64,
         }
     }
 }

@@ -38,26 +38,6 @@ pub fn run(config: &ExperimentConfig) -> Result<Fig8Result> {
     Ok(Fig8Result { points })
 }
 
-impl Fig8Result {
-    /// Point lookup by k.
-    pub fn at_k(&self, k: usize) -> Option<&FitCurvePoint> {
-        self.points.iter().find(|p| p.k == k)
-    }
-
-    /// Smallest k at which k-medoids reaches the random curve's best R².
-    pub fn kmedoids_break_even(&self) -> Option<usize> {
-        let best_random = self
-            .points
-            .iter()
-            .map(|p| p.random_r2)
-            .fold(f64::NEG_INFINITY, f64::max);
-        self.points
-            .iter()
-            .find(|p| p.kmedoids_r2 >= best_random)
-            .map(|p| p.k)
-    }
-}
-
 impl fmt::Display for Fig8Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ks: Vec<usize> = self.points.iter().map(|p| p.k).collect();
@@ -87,9 +67,8 @@ mod tests {
         config.max_apps = Some(2);
         config.trial_scale = 0.04; // 2 random trials
         let result = run(&config).unwrap();
-        assert_eq!(result.points.len(), 10);
-        assert!(result.at_k(1).is_some());
-        assert!(result.at_k(11).is_none());
+        let ks: Vec<usize> = result.points.iter().map(|p| p.k).collect();
+        assert_eq!(ks, (1..=10).collect::<Vec<_>>());
         assert!(result.to_string().contains("Figure 8"));
     }
 }

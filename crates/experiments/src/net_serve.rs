@@ -2,7 +2,7 @@
 //! front end.
 //!
 //! Serves the same deterministic synthetic request mix as `repro serve`
-//! ([`synth_requests`](crate::serve::synth_requests)), but over real TCP:
+//! ([`synth_requests`]), but over real TCP:
 //! the driver spawns a [`NetServer`] on a loopback port, fans the request
 //! lines across [`ExperimentConfig::net_connections`] closed-loop client
 //! threads, and measures end-to-end response latency per request. It
@@ -70,9 +70,8 @@ pub struct NetServeResult {
 pub fn net_server_config(config: &ExperimentConfig) -> NetServerConfig {
     NetServerConfig {
         serve: config.serve_config(),
-        max_batch: config.net_max_batch,
-        max_inflight: config.net_max_inflight,
         cache_capacity: (config.scaled_trials(config.serve_requests) * 2).max(16),
+        ..NetServerConfig::default()
     }
 }
 

@@ -1,28 +1,5 @@
 //! Minimal ASCII plotting for figure reproduction in a terminal.
 
-/// Renders a horizontal bar chart: one row per label, bars scaled to
-/// `width` characters at `max_value`.
-///
-/// Values below zero are clamped to zero for display.
-pub fn bar_chart(title: &str, rows: &[(String, f64)], max_value: f64, width: usize) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    let label_width = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    let scale = if max_value > 0.0 { max_value } else { 1.0 };
-    for (label, value) in rows {
-        let v = value.max(0.0);
-        let filled = ((v / scale) * width as f64).round() as usize;
-        let filled = filled.min(width);
-        out.push_str(&format!(
-            "{label:<label_width$} | {}{} {v:.3}\n",
-            "█".repeat(filled),
-            " ".repeat(width - filled),
-        ));
-    }
-    out
-}
-
 /// Renders grouped bars: for each label, one bar per series. Used for the
 /// per-benchmark figures with three methods.
 pub fn grouped_bar_chart(
@@ -95,22 +72,6 @@ pub fn dual_series(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bar_chart_scales_and_clamps() {
-        let rows = vec![
-            ("a".to_owned(), 1.0),
-            ("bb".to_owned(), 0.5),
-            ("c".to_owned(), -1.0),
-        ];
-        let chart = bar_chart("t", &rows, 1.0, 10);
-        assert!(chart.starts_with("t\n"));
-        let lines: Vec<&str> = chart.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[1].contains("██████████"));
-        assert!(lines[2].contains("█████"));
-        assert!(lines[3].contains("0.000")); // clamped
-    }
 
     #[test]
     fn grouped_chart_has_series_per_row() {

@@ -19,9 +19,6 @@ pub enum LinalgError {
         /// Actual shape of the offending matrix.
         shape: (usize, usize),
     },
-    /// The matrix is singular (or numerically so) and cannot be factored
-    /// or solved against.
-    Singular,
     /// An operand was empty where a non-empty operand is required.
     Empty {
         /// Which operand was empty.
@@ -49,7 +46,6 @@ impl fmt::Display for LinalgError {
             LinalgError::NotSquare { shape } => {
                 write!(f, "matrix must be square, got {}x{}", shape.0, shape.1)
             }
-            LinalgError::Singular => write!(f, "matrix is singular"),
             LinalgError::Empty { what } => write!(f, "{what} must not be empty"),
             LinalgError::NonFinite => write!(f, "input contains NaN or infinite values"),
             LinalgError::NoConvergence {
@@ -81,7 +77,6 @@ mod tests {
         assert!(msg.contains("2x3"));
         assert!(msg.contains("4x5"));
 
-        assert_eq!(LinalgError::Singular.to_string(), "matrix is singular");
         assert!(LinalgError::NotSquare { shape: (1, 2) }
             .to_string()
             .contains("1x2"));

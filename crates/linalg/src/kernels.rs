@@ -286,7 +286,7 @@ pub fn pairwise_sq_diffs_ref(chars: &Matrix) -> Matrix {
 /// rows of dimension `d`, fills the flat `(b·b) × d` matrix whose row
 /// `i·b + j` is the elementwise squared difference of rows `i` and `j`.
 ///
-/// The `b × b` pair grid is walked in [`SQDIFF_TILE`]-sized tiles, so one
+/// The `b × b` pair grid is walked in 32 × 32 tiles (`SQDIFF_TILE`), so one
 /// tile's worth of `i`-rows and `j`-rows (at most `2 · TILE · d` values)
 /// is loaded once and reused across the whole tile instead of re-streaming
 /// row `j` for every `i` of the full grid. Within a tile the output rows

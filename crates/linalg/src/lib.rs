@@ -2,22 +2,23 @@
 //!
 //! This crate provides the small, dependency-free numerical kernel that the
 //! rest of the workspace builds on: a row-major dense [`Matrix`], slice-based
-//! vector operations in [`vecops`], and the decompositions needed by the
-//! higher layers (QR for least squares, and a cyclic Jacobi eigensolver for
-//! symmetric matrices, used by PCA).
+//! vector operations in [`vecops`], and the cyclic Jacobi eigensolver for
+//! symmetric matrices in [`decomp`], used by PCA.
 //!
 //! # Example
 //!
 //! ```
-//! use datatrans_linalg::{Matrix, solve::lstsq};
+//! use datatrans_linalg::{decomp::symmetric_eigen, Matrix};
 //!
 //! # fn main() -> Result<(), datatrans_linalg::LinalgError> {
-//! // Fit y = 2x + 1 exactly through three points.
-//! let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]])?;
-//! let y = [1.0, 3.0, 5.0];
-//! let beta = lstsq(&a, &y)?;
-//! assert!((beta[0] - 1.0).abs() < 1e-10);
-//! assert!((beta[1] - 2.0).abs() < 1e-10);
+//! // The covariance of two perfectly correlated features has one
+//! // non-zero eigenvalue, along the (1, 1) diagonal.
+//! let cov = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]])?;
+//! let eig = symmetric_eigen(&cov)?;
+//! assert!((eig.values[0] - 2.0).abs() < 1e-10);
+//! assert!(eig.values[1].abs() < 1e-10);
+//! let v = eig.vectors.col(0);
+//! assert!((v[0].abs() - v[1].abs()).abs() < 1e-10);
 //! # Ok(())
 //! # }
 //! ```
@@ -31,7 +32,6 @@ mod view;
 
 pub mod decomp;
 pub mod kernels;
-pub mod solve;
 pub mod vecops;
 
 pub use error::LinalgError;

@@ -217,11 +217,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consumes the matrix and returns the row-major data vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns the transposed matrix.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -324,11 +319,6 @@ impl Matrix {
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
         }
-    }
-
-    /// Frobenius norm (square root of the sum of squared elements).
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute element, or 0.0 for an empty matrix.
@@ -541,9 +531,8 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_finiteness() {
+    fn max_abs_and_finiteness() {
         let a = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
-        assert!(approx(a.frobenius_norm(), 5.0));
         assert!(approx(a.max_abs(), 4.0));
         assert!(a.all_finite());
         let b = Matrix::from_rows(&[&[f64::NAN]]).unwrap();

@@ -15,11 +15,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> Result<f64> {
     Ok(a.iter().zip(b).map(|(x, y)| x * y).sum())
 }
 
-/// Euclidean (L2) norm.
-pub fn norm2(a: &[f64]) -> f64 {
-    a.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
 /// Euclidean distance between two equal-length slices.
 ///
 /// # Errors
@@ -30,24 +25,6 @@ pub fn euclidean_distance(a: &[f64], b: &[f64]) -> Result<f64> {
     Ok(a.iter()
         .zip(b)
         .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt())
-}
-
-/// Weighted Euclidean distance `sqrt(Σ wᵢ (aᵢ−bᵢ)²)`.
-///
-/// Used by GA-kNN, where a genetic algorithm learns the weights `w`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::DimensionMismatch`] if any length differs.
-pub fn weighted_euclidean_distance(a: &[f64], b: &[f64], w: &[f64]) -> Result<f64> {
-    check_same_len("weighted_euclidean_distance", a, b)?;
-    check_same_len("weighted_euclidean_distance (weights)", a, w)?;
-    Ok(a.iter()
-        .zip(b)
-        .zip(w)
-        .map(|((x, y), wi)| wi * (x - y) * (x - y))
         .sum::<f64>()
         .sqrt())
 }
@@ -75,7 +52,7 @@ pub fn sub(a: &[f64], b: &[f64]) -> Result<Vec<f64>> {
 /// Scales every element by `s` into a new vector.
 ///
 /// Allocating convenience wrapper around [`scale_into`]; hot paths should
-/// use [`scale_into`] or [`scale_in_place`] to reuse a buffer instead.
+/// use [`scale_into`] to reuse a buffer instead.
 pub fn scale(a: &[f64], s: f64) -> Vec<f64> {
     let mut out = vec![0.0; a.len()];
     scale_into(&mut out, a, s);
@@ -89,13 +66,6 @@ pub fn scale(a: &[f64], s: f64) -> Vec<f64> {
 /// Panics if the lengths differ.
 pub fn scale_into(out: &mut [f64], a: &[f64], s: f64) {
     crate::kernels::scale_into(out, a, s);
-}
-
-/// Multiplies every element of `a` by `s` in place.
-pub fn scale_in_place(a: &mut [f64], s: f64) {
-    for x in a.iter_mut() {
-        *x *= s;
-    }
 }
 
 /// In-place `a += s * b` (axpy).
@@ -139,17 +109,8 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_distances() {
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
+    fn distances() {
         assert_eq!(euclidean_distance(&[0.0, 0.0], &[3.0, 4.0]).unwrap(), 5.0);
-        let d = weighted_euclidean_distance(&[0.0, 0.0], &[1.0, 1.0], &[4.0, 9.0]).unwrap();
-        assert!((d - (13.0f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_distance_with_zero_weights_ignores_dims() {
-        let d = weighted_euclidean_distance(&[0.0, 100.0], &[1.0, -100.0], &[1.0, 0.0]).unwrap();
-        assert!((d - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -170,13 +131,10 @@ mod tests {
         let fresh = scale(&a, s);
         let mut into = vec![f64::NAN; a.len()];
         scale_into(&mut into, &a, s);
-        let mut in_place = a.clone();
-        scale_in_place(&mut in_place, s);
         for i in 0..a.len() {
             let want = (a[i] * s).to_bits();
             assert_eq!(fresh[i].to_bits(), want, "scale idx {i}");
             assert_eq!(into[i].to_bits(), want, "scale_into idx {i}");
-            assert_eq!(in_place[i].to_bits(), want, "scale_in_place idx {i}");
         }
     }
 

@@ -83,8 +83,8 @@ mod tests {
         assert!(e.to_string().contains("bad rows"));
         assert!(e.source().is_none());
 
-        let e: MlError = LinalgError::Singular.into();
-        assert!(e.to_string().contains("singular"));
+        let e: MlError = LinalgError::NonFinite.into();
+        assert!(e.to_string().contains("NaN"));
         assert!(e.source().is_some());
 
         let e: MlError = StatsError::ConstantInput.into();

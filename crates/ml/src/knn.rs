@@ -171,33 +171,6 @@ impl KnnIndex {
         select_k_nearest(out, k);
         Ok(())
     }
-
-    /// kNN regression: combines `targets` over the `k` nearest neighbours.
-    ///
-    /// `targets[i]` must correspond to indexed row `i`.
-    ///
-    /// # Errors
-    ///
-    /// * [`MlError::InvalidInput`] if `targets` length differs from the
-    ///   index size.
-    /// * Conditions of [`KnnIndex::nearest`].
-    pub fn predict(
-        &self,
-        query: &[f64],
-        k: usize,
-        targets: &[f64],
-        weighting: NeighborWeighting,
-    ) -> Result<f64> {
-        if targets.len() != self.points.rows() {
-            return Err(MlError::invalid_input(format!(
-                "{} targets for {} indexed points",
-                targets.len(),
-                self.points.rows()
-            )));
-        }
-        let neighbors = self.nearest(query, k)?;
-        Ok(combine_targets(&neighbors, targets, weighting))
-    }
 }
 
 /// Total-order comparator for neighbours: ascending distance, ties broken
@@ -237,15 +210,6 @@ pub fn select_k_nearest(neighbors: &mut Vec<Neighbor>, k: usize) {
 /// Offset added to every distance before inverting it, so an exact match
 /// (distance 0) gets a large finite weight instead of an infinite one.
 const INVERSE_DISTANCE_EPS: f64 = 1e-9;
-
-/// Combines neighbour targets per the chosen weighting scheme.
-pub fn combine_targets(
-    neighbors: &[Neighbor],
-    targets: &[f64],
-    weighting: NeighborWeighting,
-) -> f64 {
-    combine_targets_with(neighbors, |i| targets[i], weighting)
-}
 
 /// Combines neighbour targets read through `target_of`, per the chosen
 /// weighting scheme.
@@ -353,37 +317,34 @@ mod tests {
 
     #[test]
     fn uniform_prediction_is_mean_of_neighbours() {
-        let index = square_index();
         let targets = [10.0, 20.0, 30.0, 40.0];
-        let p = index
-            .predict(&[0.05, 0.0], 2, &targets, NeighborWeighting::Uniform)
-            .unwrap();
+        let neighbors = square_index().nearest(&[0.05, 0.0], 2).unwrap();
+        let p = combine_targets_with(&neighbors, |i| targets[i], NeighborWeighting::Uniform);
         // Nearest two are rows 0 and 1.
         assert_eq!(p, 15.0);
     }
 
     #[test]
     fn inverse_distance_favours_closest() {
-        let index = square_index();
         let targets = [10.0, 20.0, 30.0, 40.0];
-        let p = index
-            .predict(
-                &[0.01, 0.0],
-                2,
-                &targets,
-                NeighborWeighting::InverseDistance,
-            )
-            .unwrap();
+        let neighbors = square_index().nearest(&[0.01, 0.0], 2).unwrap();
+        let p = combine_targets_with(
+            &neighbors,
+            |i| targets[i],
+            NeighborWeighting::InverseDistance,
+        );
         assert!(p < 15.0); // pulled towards target 10 of the closest point
     }
 
     #[test]
     fn exact_match_dominates_inverse_distance() {
-        let index = square_index();
         let targets = [10.0, 20.0, 30.0, 40.0];
-        let p = index
-            .predict(&[1.0, 1.0], 3, &targets, NeighborWeighting::InverseDistance)
-            .unwrap();
+        let neighbors = square_index().nearest(&[1.0, 1.0], 3).unwrap();
+        let p = combine_targets_with(
+            &neighbors,
+            |i| targets[i],
+            NeighborWeighting::InverseDistance,
+        );
         assert!((p - 40.0).abs() < 1e-4);
     }
 
@@ -394,9 +355,6 @@ mod tests {
         assert!(index.nearest(&[1.0, f64::NAN], 1).is_err());
         assert!(index.nearest(&[0.0, 0.0], 0).is_err());
         assert!(index.nearest(&[0.0, 0.0], 5).is_err());
-        assert!(index
-            .predict(&[0.0, 0.0], 2, &[1.0], NeighborWeighting::Uniform)
-            .is_err());
         assert!(KnnIndex::fit(Matrix::zeros(0, 0)).is_err());
         let pts = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
         assert!(KnnIndex::fit_weighted(pts.clone(), vec![1.0]).is_err());

@@ -5,7 +5,7 @@
 //!
 //! * [`scale`] — min-max and standard scalers (WEKA-style `[-1, 1]`
 //!   normalization for the MLP).
-//! * [`linreg`] — simple and multiple linear regression (the NNᵀ model).
+//! * [`linreg`] — one-variable linear regression (the NNᵀ model).
 //! * [`mlp`] — a multilayer perceptron with WEKA-compatible defaults
 //!   (the MLPᵀ model).
 //! * [`knn`] — weighted k-nearest-neighbour queries (the kNN half of
@@ -15,7 +15,6 @@
 //!   (paper §6.5, Figure 8).
 //! * [`pca`] — principal component analysis, used for machine-similarity
 //!   analysis.
-//! * [`cv`] — k-fold and leave-one-out index generation.
 //!
 //! # Example: fit a line and predict
 //!
@@ -39,7 +38,6 @@
 mod error;
 
 pub mod cluster;
-pub mod cv;
 pub mod ga;
 pub mod knn;
 pub mod linreg;

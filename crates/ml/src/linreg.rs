@@ -2,9 +2,6 @@
 //!
 //! [`SimpleLinearRegression`] fits `y = a·x + b` by ordinary least squares —
 //! exactly the per-machine-pair model of the paper's Figure 3.
-//! [`MultipleLinearRegression`] generalizes to several regressors via QR.
-
-use datatrans_linalg::{solve::lstsq, Matrix};
 
 use crate::{MlError, Result};
 
@@ -159,98 +156,6 @@ impl SimpleLinearRegression {
     }
 }
 
-/// Multiple linear regression `y = β₀ + β₁x₁ + … + βₚxₚ` via Householder QR.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultipleLinearRegression {
-    /// Coefficients; `coefficients[0]` is the intercept.
-    coefficients: Vec<f64>,
-    r_squared: f64,
-}
-
-impl MultipleLinearRegression {
-    /// Fits on a sample matrix (rows = samples, columns = regressors) and a
-    /// target vector. An intercept column is added internally.
-    ///
-    /// # Errors
-    ///
-    /// * [`MlError::InvalidInput`] on shape mismatch, fewer samples than
-    ///   `regressors + 1`, or non-finite input.
-    /// * [`MlError::Linalg`] if the design matrix is rank-deficient.
-    pub fn fit(x: &Matrix, y: &[f64]) -> Result<Self> {
-        if x.rows() != y.len() {
-            return Err(MlError::invalid_input(format!(
-                "x has {} rows, y has {} values",
-                x.rows(),
-                y.len()
-            )));
-        }
-        if x.rows() < x.cols() + 1 {
-            return Err(MlError::invalid_input(format!(
-                "need at least {} samples for {} regressors",
-                x.cols() + 1,
-                x.cols()
-            )));
-        }
-        if !x.all_finite() || y.iter().any(|v| !v.is_finite()) {
-            return Err(MlError::invalid_input("input contains NaN/inf"));
-        }
-        // Design matrix with a leading intercept column.
-        let design = Matrix::from_fn(x.rows(), x.cols() + 1, |i, j| {
-            if j == 0 {
-                1.0
-            } else {
-                x[(i, j - 1)]
-            }
-        });
-        let coefficients = lstsq(&design, y)?;
-        let fitted = design.matvec(&coefficients)?;
-        let my = y.iter().sum::<f64>() / y.len() as f64;
-        let ss_tot: f64 = y.iter().map(|v| (v - my) * (v - my)).sum();
-        let ss_res: f64 = y.iter().zip(&fitted).map(|(v, f)| (v - f) * (v - f)).sum();
-        let r_squared = if ss_tot == 0.0 {
-            1.0
-        } else {
-            1.0 - ss_res / ss_tot
-        };
-        Ok(MultipleLinearRegression {
-            coefficients,
-            r_squared,
-        })
-    }
-
-    /// Predicted value for a feature row (without intercept column).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InvalidInput`] if the feature count differs from
-    /// the fitted model.
-    pub fn predict(&self, features: &[f64]) -> Result<f64> {
-        if features.len() + 1 != self.coefficients.len() {
-            return Err(MlError::invalid_input(format!(
-                "expected {} features, got {}",
-                self.coefficients.len() - 1,
-                features.len()
-            )));
-        }
-        Ok(self.coefficients[0]
-            + features
-                .iter()
-                .zip(&self.coefficients[1..])
-                .map(|(f, c)| f * c)
-                .sum::<f64>())
-    }
-
-    /// Coefficients (`[intercept, β₁, …, βₚ]`).
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
-    }
-
-    /// Coefficient of determination on the training data.
-    pub fn r_squared(&self) -> f64 {
-        self.r_squared
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,38 +200,5 @@ mod tests {
         let fit = SimpleLinearRegression::fit(&[1.0, 2.0, 3.0], &[4.0, 4.0, 4.0]).unwrap();
         assert_eq!(fit.slope(), 0.0);
         assert_eq!(fit.r_squared(), 1.0);
-    }
-
-    #[test]
-    fn multiple_fit_recovers_plane() {
-        // y = 1 + 2a - 3b over a small grid.
-        let mut rows = Vec::new();
-        let mut y = Vec::new();
-        for a in 0..4 {
-            for b in 0..4 {
-                rows.push([a as f64, b as f64]);
-                y.push(1.0 + 2.0 * a as f64 - 3.0 * b as f64);
-            }
-        }
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let x = Matrix::from_rows(&refs).unwrap();
-        let fit = MultipleLinearRegression::fit(&x, &y).unwrap();
-        let c = fit.coefficients();
-        assert!((c[0] - 1.0).abs() < 1e-10);
-        assert!((c[1] - 2.0).abs() < 1e-10);
-        assert!((c[2] + 3.0).abs() < 1e-10);
-        assert!((fit.predict(&[1.0, 1.0]).unwrap() - 0.0).abs() < 1e-10);
-        assert!((fit.r_squared() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn multiple_fit_validates() {
-        let x = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 3.0]]).unwrap();
-        // 2 samples < 2 regressors + 1.
-        assert!(MultipleLinearRegression::fit(&x, &[1.0, 2.0]).is_err());
-        let x3 = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]).unwrap();
-        assert!(MultipleLinearRegression::fit(&x3, &[1.0, 2.0]).is_err());
-        let fit = MultipleLinearRegression::fit(&x3, &[1.0, 2.0, 3.0]).unwrap();
-        assert!(fit.predict(&[1.0, 2.0]).is_err());
     }
 }

@@ -183,7 +183,6 @@ pub struct MlpRegressor {
     input_scaler: MinMaxScaler,
     target_scaler: MinMaxScaler,
     n_inputs: usize,
-    training_mse: f64,
 }
 
 impl MlpRegressor {
@@ -272,7 +271,6 @@ impl MlpRegressor {
             input_scaler,
             target_scaler,
             n_inputs,
-            training_mse: f64::NAN,
         };
         model.train(&scaled_x, &scaled_y, config, &mut rng);
         Ok(model)
@@ -296,14 +294,6 @@ impl MlpRegressor {
                 self.backward(input, &mut scratch, error, config);
             }
         }
-        // Record final training MSE (on the scaled target).
-        let mut mse = 0.0;
-        for (s, &ys) in y.iter().enumerate() {
-            forward_into(&self.layers, x.row(s), &mut scratch);
-            let out = last_output(&scratch);
-            mse += (out - ys) * (out - ys);
-        }
-        self.training_mse = mse / n as f64;
     }
 
     fn backward(
@@ -407,31 +397,9 @@ impl MlpRegressor {
         Ok(self.target_scaler.inverse_value(0, out))
     }
 
-    /// Predicts for every row of a feature matrix, reusing one scratch.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MlpRegressor::predict`].
-    pub fn predict_batch(&self, x: &Matrix) -> Result<Vec<f64>> {
-        let mut scratch = self.scratch();
-        x.iter_rows()
-            .map(|row| self.predict_with_scratch(row, &mut scratch))
-            .collect()
-    }
-
-    /// Mean squared error on the (scaled) training data after the last epoch.
-    pub fn training_mse(&self) -> f64 {
-        self.training_mse
-    }
-
     /// Number of input features.
     pub fn n_inputs(&self) -> usize {
         self.n_inputs
-    }
-
-    /// Hidden + output layer sizes, e.g. `[14, 1]`.
-    pub fn layer_sizes(&self) -> Vec<usize> {
-        self.layers.iter().map(|l| l.outputs).collect()
     }
 }
 
@@ -505,7 +473,15 @@ mod tests {
         let model = MlpRegressor::fit(&x, &y, &MlpConfig::weka_default(7)).unwrap();
         let pred = model.predict(&[0.5, 0.5]).unwrap();
         assert!((pred - 1.0).abs() < 0.15, "pred = {pred}");
-        assert!(model.training_mse() < 0.01);
+        // Training MSE in target units. WEKA scales the target's span of
+        // 3.0 onto [-1, 1], so 0.01 on the scaled target is 0.01 · 1.5².
+        let mse = x
+            .iter_rows()
+            .zip(&y)
+            .map(|(row, &t)| (model.predict(row).unwrap() - t).powi(2))
+            .sum::<f64>()
+            / y.len() as f64;
+        assert!(mse < 0.01 * 1.5 * 1.5, "mse = {mse}");
     }
 
     #[test]
@@ -564,7 +540,8 @@ mod tests {
         cfg.epochs = 1;
         let model = MlpRegressor::fit(&x, &y, &cfg).unwrap();
         // (2 inputs + 1 output) / 2 = 1 hidden node, then the output layer.
-        assert_eq!(model.layer_sizes(), vec![1, 1]);
+        let sizes: Vec<usize> = model.layers.iter().map(|l| l.outputs).collect();
+        assert_eq!(sizes, vec![1, 1]);
     }
 
     #[test]
@@ -574,7 +551,8 @@ mod tests {
         cfg.hidden_layers = vec![8, 4];
         cfg.epochs = 1;
         let model = MlpRegressor::fit(&x, &y, &cfg).unwrap();
-        assert_eq!(model.layer_sizes(), vec![8, 4, 1]);
+        let sizes: Vec<usize> = model.layers.iter().map(|l| l.outputs).collect();
+        assert_eq!(sizes, vec![8, 4, 1]);
     }
 
     #[test]
@@ -604,18 +582,6 @@ mod tests {
         let model = MlpRegressor::fit(&x, &y, &cfg).unwrap();
         assert!(model.predict(&[1.0]).is_err());
         assert!(model.predict(&[1.0, f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn predict_batch_matches_predict() {
-        let (x, y) = grid_xy();
-        let mut cfg = MlpConfig::weka_default(5);
-        cfg.epochs = 10;
-        let model = MlpRegressor::fit(&x, &y, &cfg).unwrap();
-        let batch = model.predict_batch(&x).unwrap();
-        for (i, row) in x.iter_rows().enumerate() {
-            assert_eq!(batch[i], model.predict(row).unwrap());
-        }
     }
 
     #[test]

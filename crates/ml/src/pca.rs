@@ -19,12 +19,14 @@ use crate::{MlError, Result};
 /// use datatrans_ml::pca::Pca;
 ///
 /// # fn main() -> Result<(), datatrans_ml::MlError> {
-/// // Points along the diagonal: the first component captures ~all variance.
+/// // Points along the diagonal: the first axis lies close to (1, 1)/√2.
 /// let data = Matrix::from_rows(&[
 ///     &[1.0, 1.1], &[2.0, 1.9], &[3.0, 3.2], &[4.0, 3.9],
 /// ])?;
-/// let pca = Pca::fit(&data, 2)?;
-/// assert!(pca.explained_variance_ratio()[0] > 0.95);
+/// let pca = Pca::fit(&data, 1)?;
+/// let axis = pca.components().col(0);
+/// assert!((axis[0].abs() - axis[1].abs()).abs() < 0.05);
+/// assert_eq!(pca.transform(&data)?.shape(), (4, 1));
 /// # Ok(())
 /// # }
 /// ```
@@ -34,10 +36,6 @@ pub struct Pca {
     mean: Vec<f64>,
     /// Principal axes as matrix columns (features × components).
     components: Matrix,
-    /// Eigenvalues of the covariance matrix, descending.
-    explained_variance: Vec<f64>,
-    /// Total variance (sum of all eigenvalues, not just kept ones).
-    total_variance: f64,
 }
 
 impl Pca {
@@ -100,17 +98,8 @@ impl Pca {
                 "constant-variance data: every feature is constant across samples",
             ));
         }
-        let explained_variance: Vec<f64> = eig.values[..n_components]
-            .iter()
-            .map(|v| v.max(0.0))
-            .collect();
         let components = Matrix::from_fn(p, n_components, |i, j| eig.vectors[(i, j)]);
-        Ok(Pca {
-            mean,
-            components,
-            explained_variance,
-            total_variance,
-        })
+        Ok(Pca { mean, components })
     }
 
     /// Projects samples into component space (rows = samples).
@@ -178,22 +167,6 @@ impl Pca {
             .collect())
     }
 
-    /// Variance captured by each kept component.
-    pub fn explained_variance(&self) -> &[f64] {
-        &self.explained_variance
-    }
-
-    /// Fraction of total variance captured by each kept component.
-    pub fn explained_variance_ratio(&self) -> Vec<f64> {
-        if self.total_variance == 0.0 {
-            return vec![0.0; self.explained_variance.len()];
-        }
-        self.explained_variance
-            .iter()
-            .map(|v| v / self.total_variance)
-            .collect()
-    }
-
     /// Number of components kept.
     pub fn n_components(&self) -> usize {
         self.components.cols()
@@ -225,8 +198,6 @@ mod tests {
         let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
         let data = Matrix::from_rows(&refs).unwrap();
         let pca = Pca::fit(&data, 2).unwrap();
-        let ratios = pca.explained_variance_ratio();
-        assert!(ratios[0] > 0.99);
         // First axis should be (±1, ~0).
         let axis_x = pca.components[(0, 0)].abs();
         assert!(axis_x > 0.999);
@@ -251,20 +222,6 @@ mod tests {
         let increasing = s.windows(2).all(|w| w[1] > w[0]);
         let decreasing = s.windows(2).all(|w| w[1] < w[0]);
         assert!(increasing || decreasing);
-    }
-
-    #[test]
-    fn explained_variance_sums_to_total_when_all_kept() {
-        let data = Matrix::from_rows(&[
-            &[1.0, 5.0, 2.0],
-            &[2.0, 3.0, 8.0],
-            &[4.0, 1.0, 1.0],
-            &[0.5, 2.5, 3.0],
-        ])
-        .unwrap();
-        let pca = Pca::fit(&data, 3).unwrap();
-        let ratios = pca.explained_variance_ratio();
-        assert!((ratios.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 
 use datatrans_linalg::Matrix;
 use datatrans_ml::cluster::{k_medoids, KMedoidsConfig};
-use datatrans_ml::cv::{k_fold, leave_one_out};
-use datatrans_ml::knn::{KnnIndex, NeighborWeighting};
+use datatrans_ml::knn::{combine_targets_with, KnnIndex, NeighborWeighting};
 use datatrans_ml::linreg::SimpleLinearRegression;
 use datatrans_ml::scale::{MinMaxScaler, StandardScaler};
 use datatrans_rng::rngs::StdRng;
@@ -117,7 +116,8 @@ fn knn_prediction_within_target_hull() {
             NeighborWeighting::Uniform,
             NeighborWeighting::InverseDistance,
         ] {
-            let p = index.predict(&query, k, &targets, weighting).unwrap();
+            let neighbors = index.nearest(&query, k).unwrap();
+            let p = combine_targets_with(&neighbors, |i| targets[i], weighting);
             let lo = targets.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = targets.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             assert!(p >= lo - 1e-9 && p <= hi + 1e-9);
@@ -148,38 +148,6 @@ fn kmedoids_assignments_point_to_nearest() {
                     .sqrt();
                 assert!(d_own <= d_m + 1e-9);
             }
-        }
-    }
-}
-
-#[test]
-fn kfold_partitions() {
-    let mut rng = StdRng::seed_from_u64(0xC8);
-    for _ in 0..CASES {
-        let n = rng.gen_range(4..40usize);
-        let k = rng.gen_range(2..4usize).min(n);
-        let seed = rng.gen_range(0..50u64);
-        let folds = k_fold(n, k, seed).unwrap();
-        let mut count = vec![0usize; n];
-        for f in &folds {
-            for &i in &f.test {
-                count[i] += 1;
-            }
-            assert_eq!(f.train.len() + f.test.len(), n);
-        }
-        assert!(count.iter().all(|&c| c == 1));
-    }
-}
-
-#[test]
-fn loo_covers_all() {
-    let mut rng = StdRng::seed_from_u64(0xC9);
-    for _ in 0..CASES {
-        let n = rng.gen_range(2..30usize);
-        let folds = leave_one_out(n).unwrap();
-        assert_eq!(folds.len(), n);
-        for (i, f) in folds.iter().enumerate() {
-            assert_eq!(&f.test, &vec![i]);
         }
     }
 }

@@ -7,9 +7,9 @@
 //! whose per-item results depend only on the item index, never on
 //! evaluation order. This crate exploits that shape: [`Parallelism::par_map`]
 //! and [`Parallelism::par_map_indexed`] fan the range out across a
-//! process-wide pool of long-lived worker threads (see [`mod@pool`]) and
-//! merge the results back **in input order**, so the output is
-//! bitwise-identical to the sequential loop at any thread count. The
+//! process-wide pool of long-lived worker threads (the private `pool`
+//! module) and merge the results back **in input order**, so the output
+//! is bitwise-identical to the sequential loop at any thread count. The
 //! golden-snapshot and naive-reference equivalence tests therefore hold
 //! unchanged with parallelism enabled.
 //!

@@ -1,4 +1,4 @@
-//! Correlation coefficients: Pearson, Spearman, and Kendall.
+//! Correlation coefficients: Pearson and Spearman, and the R² of a fit.
 //!
 //! The paper's headline metric is the Spearman rank correlation between a
 //! predicted machine ranking and the ranking induced by measured scores.
@@ -74,45 +74,6 @@ pub fn spearman(x: &[f64], y: &[f64]) -> Result<f64> {
     let rx = rank_ascending(x)?;
     let ry = rank_ascending(y)?;
     pearson(&rx, &ry)
-}
-
-/// Kendall's tau-b rank correlation coefficient (tie-aware).
-///
-/// O(n²); adequate for the machine-count scale of this workspace.
-///
-/// # Errors
-///
-/// Same conditions as [`pearson`].
-pub fn kendall(x: &[f64], y: &[f64]) -> Result<f64> {
-    validate_pair(x, y)?;
-    let n = x.len();
-    let mut concordant = 0i64;
-    let mut discordant = 0i64;
-    let mut ties_x = 0i64;
-    let mut ties_y = 0i64;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let dx = x[i] - x[j];
-            let dy = y[i] - y[j];
-            if dx == 0.0 && dy == 0.0 {
-                // Joint tie: contributes to neither.
-            } else if dx == 0.0 {
-                ties_x += 1;
-            } else if dy == 0.0 {
-                ties_y += 1;
-            } else if dx * dy > 0.0 {
-                concordant += 1;
-            } else {
-                discordant += 1;
-            }
-        }
-    }
-    let n0 = (n * (n - 1) / 2) as f64;
-    let denom = ((n0 - ties_x as f64) * (n0 - ties_y as f64)).sqrt();
-    if denom == 0.0 {
-        return Err(StatsError::ConstantInput);
-    }
-    Ok(((concordant - discordant) as f64 / denom).clamp(-1.0, 1.0))
 }
 
 /// Coefficient of determination R² of predictions against observations.
@@ -205,22 +166,6 @@ mod tests {
         let y = [1.0, 2.0, 3.0, 4.0];
         let rho = spearman(&x, &y).unwrap();
         assert!((rho - 0.9f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kendall_known_value() {
-        // scipy.stats.kendalltau([1,2,3,4],[1,3,2,4]) = 2/3
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y = [1.0, 3.0, 2.0, 4.0];
-        assert!((kendall(&x, &y).unwrap() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kendall_with_ties() {
-        // scipy.stats.kendalltau([1,1,2,3],[1,2,3,4]) ≈ 0.9128709291752769 (tau-b)
-        let x = [1.0, 1.0, 2.0, 3.0];
-        let y = [1.0, 2.0, 3.0, 4.0];
-        assert!((kendall(&x, &y).unwrap() - 0.912_870_929_175_276_9).abs() < 1e-12);
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub enum StatsError {
     ConstantInput,
     /// A non-finite value (NaN or infinity) was encountered.
     NonFinite,
-    /// A parameter was outside its valid domain (e.g. quantile not in [0,1]).
+    /// A parameter was outside its valid domain (e.g. a confidence `level`
+    /// outside `(0, 1)`).
     InvalidParameter {
         /// Parameter name.
         name: &'static str,

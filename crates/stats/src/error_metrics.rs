@@ -108,44 +108,6 @@ pub fn top1_error_pct(predicted: &[f64], actual: &[f64]) -> Result<f64> {
     Ok(((actual[actual_best] - chosen) / chosen * 100.0).max(0.0))
 }
 
-/// Top-n deficiency: performance loss of the best machine among the
-/// prediction's top `n`, relative to the true best machine.
-///
-/// Generalizes [`top1_error_pct`]; with `n = 1` the two agree.
-///
-/// # Errors
-///
-/// * [`StatsError::InvalidParameter`] if `n` is zero or exceeds the number
-///   of machines.
-/// * Conditions of [`top1_error_pct`] otherwise.
-pub fn topn_error_pct(predicted: &[f64], actual: &[f64], n: usize) -> Result<f64> {
-    if predicted.len() != actual.len() {
-        return Err(StatsError::LengthMismatch {
-            left: predicted.len(),
-            right: actual.len(),
-        });
-    }
-    if n == 0 || n > predicted.len() {
-        return Err(StatsError::InvalidParameter {
-            name: "n (must be in 1..=machines)",
-            value: n as f64,
-        });
-    }
-    let order = crate::rank::argsort_descending(predicted)?;
-    let actual_best = actual[argmax(actual)?];
-    let best_of_topn = order[..n]
-        .iter()
-        .map(|&i| actual[i])
-        .fold(f64::NEG_INFINITY, f64::max);
-    if best_of_topn <= 0.0 {
-        return Err(StatsError::InvalidParameter {
-            name: "actual score among top-n (must be > 0)",
-            value: best_of_topn,
-        });
-    }
-    Ok(((actual_best - best_of_topn) / best_of_topn * 100.0).max(0.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,33 +148,5 @@ mod tests {
         let predicted = [2.0, 1.0];
         let actual = [7.0, 7.0];
         assert_eq!(top1_error_pct(&predicted, &actual).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn topn_matches_top1_for_n1() {
-        let predicted = [9.0, 1.0, 5.0];
-        let actual = [50.0, 100.0, 75.0];
-        assert_eq!(
-            topn_error_pct(&predicted, &actual, 1).unwrap(),
-            top1_error_pct(&predicted, &actual).unwrap()
-        );
-    }
-
-    #[test]
-    fn topn_improves_with_larger_n() {
-        let predicted = [9.0, 1.0, 5.0];
-        let actual = [50.0, 100.0, 75.0];
-        let e1 = topn_error_pct(&predicted, &actual, 1).unwrap();
-        let e2 = topn_error_pct(&predicted, &actual, 2).unwrap();
-        let e3 = topn_error_pct(&predicted, &actual, 3).unwrap();
-        assert!(e1 >= e2 && e2 >= e3);
-        assert_eq!(e3, 0.0); // true best is always inside top-all
-    }
-
-    #[test]
-    fn topn_validates_n() {
-        let v = [1.0, 2.0];
-        assert!(topn_error_pct(&v, &v, 0).is_err());
-        assert!(topn_error_pct(&v, &v, 3).is_err());
     }
 }

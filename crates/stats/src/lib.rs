@@ -1,11 +1,9 @@
 //! Statistics substrate for the `datatrans` workspace.
 //!
 //! Everything the machine-ranking methodology measures flows through this
-//! crate: tie-aware ranking ([`rank`]), rank and linear correlation
-//! coefficients ([`correlation`]), summary statistics including the
-//! geometric mean that SPEC aggregates with ([`summary`]), the paper's error
-//! metrics ([`error_metrics`]), and bootstrap confidence intervals
-//! ([`bootstrap`]).
+//! crate: tie-aware ranking and bootstrap rank confidence ([`rank`]), rank
+//! and linear correlation coefficients ([`correlation`]), and the paper's
+//! error metrics ([`error_metrics`]).
 //!
 //! # Example
 //!
@@ -26,12 +24,9 @@
 
 mod error;
 
-pub mod bootstrap;
 pub mod correlation;
 pub mod error_metrics;
-pub mod histogram;
 pub mod rank;
-pub mod summary;
 
 pub use error::StatsError;
 

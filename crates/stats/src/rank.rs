@@ -93,23 +93,6 @@ pub fn argmax(values: &[f64]) -> Result<usize> {
     Ok(best)
 }
 
-/// Index of the minimum value (ties resolved to the first occurrence).
-///
-/// # Errors
-///
-/// * [`StatsError::Empty`] if `values` is empty.
-/// * [`StatsError::NonFinite`] if any value is NaN or infinite.
-pub fn argmin(values: &[f64]) -> Result<usize> {
-    validate(values)?;
-    let mut best = 0;
-    for (i, &v) in values.iter().enumerate() {
-        if v < values[best] {
-            best = i;
-        }
-    }
-    Ok(best)
-}
-
 /// Per-item score and rank statistics from [`bootstrap_rank_confidence`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ItemRankCi {
@@ -269,7 +252,7 @@ pub fn bootstrap_rank_confidence(
     let point_ranks = rank_descending(&point_scores)?;
     // Each replicate resamples every item and re-ranks the resampled
     // means. A replicate whose means degenerate to non-finite values
-    // (overflow) is skipped, exactly like `bootstrap_ci`.
+    // (overflow) is skipped.
     /// One surviving replicate: the resampled means and their ranks.
     type Replicate = (Vec<f64>, Vec<f64>);
     let replicates: Vec<Option<Replicate>> =
@@ -425,9 +408,8 @@ mod tests {
     }
 
     #[test]
-    fn argmax_argmin() {
+    fn argmax_first_occurrence() {
         assert_eq!(argmax(&[1.0, 9.0, 3.0]).unwrap(), 1);
-        assert_eq!(argmin(&[1.0, 9.0, 3.0]).unwrap(), 0);
         // First occurrence wins ties.
         assert_eq!(argmax(&[7.0, 7.0]).unwrap(), 0);
     }

@@ -6,10 +6,9 @@
 
 use datatrans_rng::rngs::StdRng;
 use datatrans_rng::{Rng, SeedableRng};
-use datatrans_stats::correlation::{kendall, pearson, r_squared, spearman};
-use datatrans_stats::error_metrics::{top1_error_pct, topn_error_pct};
+use datatrans_stats::correlation::{pearson, r_squared, spearman};
+use datatrans_stats::error_metrics::top1_error_pct;
 use datatrans_stats::rank::{argsort_descending, rank_ascending, rank_descending};
-use datatrans_stats::summary::{geometric_mean, harmonic_mean, mean};
 
 const CASES: usize = 128;
 
@@ -70,9 +69,6 @@ fn correlations_bounded() {
         if let Ok(rho) = spearman(&xs, &ys) {
             assert!((-1.0..=1.0).contains(&rho));
         }
-        if let Ok(tau) = kendall(&xs, &ys) {
-            assert!((-1.0..=1.0).contains(&tau));
-        }
     }
 }
 
@@ -127,19 +123,6 @@ fn r_squared_of_actual_is_one() {
 }
 
 #[test]
-fn mean_inequalities() {
-    let mut rng = StdRng::seed_from_u64(0xB9);
-    for _ in 0..CASES {
-        let xs = positive_vec(&mut rng, 10);
-        let h = harmonic_mean(&xs).unwrap();
-        let g = geometric_mean(&xs).unwrap();
-        let a = mean(&xs).unwrap();
-        assert!(h <= g + 1e-9);
-        assert!(g <= a + 1e-9);
-    }
-}
-
-#[test]
 fn top1_error_zero_for_oracle() {
     let mut rng = StdRng::seed_from_u64(0xBA);
     for _ in 0..CASES {
@@ -156,21 +139,5 @@ fn top1_error_nonnegative() {
         let pred = positive_vec(&mut rng, 9);
         let actual = positive_vec(&mut rng, 9);
         assert!(top1_error_pct(&pred, &actual).unwrap() >= 0.0);
-    }
-}
-
-#[test]
-fn topn_error_monotone_in_n() {
-    let mut rng = StdRng::seed_from_u64(0xBC);
-    for _ in 0..CASES {
-        let pred = positive_vec(&mut rng, 7);
-        let actual = positive_vec(&mut rng, 7);
-        let mut last = f64::INFINITY;
-        for n in 1..=7 {
-            let e = topn_error_pct(&pred, &actual, n).unwrap();
-            assert!(e <= last + 1e-9);
-            last = e;
-        }
-        assert_eq!(topn_error_pct(&pred, &actual, 7).unwrap(), 0.0);
     }
 }

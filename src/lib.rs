@@ -12,19 +12,20 @@
 //!
 //! This facade crate re-exports the workspace layers:
 //!
-//! * [`linalg`] — dense matrices, QR least squares, the symmetric
-//!   eigensolver, and the fixed-tree summation kernels.
+//! * [`linalg`] — dense matrices, the symmetric eigensolver, and the
+//!   fixed-tree summation kernels.
 //! * [`parallel`] — the deterministic scoped worker-pool executor
 //!   (`Parallelism`, `par_map`) behind every fan-out; results are
 //!   bitwise-identical at any thread count.
-//! * [`stats`] — ranks, Spearman/Pearson/Kendall, error metrics, bootstrap.
+//! * [`stats`] — ranks, Spearman/Pearson, error metrics, bootstrap rank
+//!   confidence.
 //! * [`ml`] — linear regression, MLP, kNN, GA, k-medoids, PCA.
 //! * [`dataset`] — the synthetic SPEC CPU2006 substrate: the 117-machine
 //!   Table 1 catalog, 29 benchmark profiles, and the CPI-stack performance
 //!   model.
 //! * [`core`] — the paper's contribution: NNᵀ and MLPᵀ transposition
-//!   models, the GA-kNN baseline, evaluation harnesses, and application
-//!   layers (purchasing advisor, heterogeneous scheduler, design-space
+//!   models, the GA-kNN baseline, evaluation harnesses, the batched serving
+//!   engine, and application layers (heterogeneous scheduler, design-space
 //!   exploration).
 //! * [`serve_net`] — the std-only TCP serving front end: line-oriented
 //!   wire protocol, cache hits answered on each connection's reader, a

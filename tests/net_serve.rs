@@ -239,6 +239,13 @@ fn fuzz_corpus(seed: u64) -> Vec<Vec<u8>> {
         // More buckets than machines: refused before the index build
         // would try to allocate a member list per bucket.
         b"rank model=nnt app=suite:0 predictive=0,30,60 approx=1,1000000000000,1".to_vec(),
+        // Confidence repeats and resamples past their caps: refused before
+        // the annex would allocate a measurement per repeat and candidate,
+        // or collect every replicate.
+        b"rank model=nnt app=suite:0 predictive=0,30,60 top_k=3 confidence=0.95,0.015,1000000000000,10"
+            .to_vec(),
+        b"rank model=nnt app=suite:0 predictive=0,30,60 top_k=3 confidence=0.95,0.015,8,1000000000000"
+            .to_vec(),
         // Valid approx request: parses and serves.
         b"rank model=nnt app=suite:0 predictive=0,30,60 top_k=3 approx=2,8,3".to_vec(),
     ];

@@ -5,10 +5,10 @@
 //! propagation, the sequential-fallback threshold, pool reuse, worker-local
 //! scratch) lives in `datatrans-parallel`; this suite exercises the
 //! wired-through consumers — GA-kNN predictions, MLPᵀ batch predictions
-//! and the fit harness's leave-one-out folds, bootstrap confidence
-//! intervals, and the family-CV tables. CI additionally runs the whole
-//! workspace under `DATATRANS_THREADS=1` and `=4`, which routes every
-//! `Parallelism::Auto` fan-out through both extremes.
+//! and the fit harness's leave-one-out folds, and the family-CV tables. CI
+//! additionally runs the whole workspace under `DATATRANS_THREADS=1` and
+//! `=4`, which routes every `Parallelism::Auto` fan-out through both
+//! extremes.
 
 use datatrans::core::eval::family_cv::{family_cross_validation, FamilyCvConfig};
 use datatrans::core::eval::fit::{goodness_of_fit_curve, FitCurveConfig};
@@ -17,8 +17,6 @@ use datatrans::core::task::PredictionTask;
 use datatrans::dataset::generator::{generate, DatasetConfig};
 use datatrans::dataset::machine::ProcessorFamily;
 use datatrans::parallel::Parallelism;
-use datatrans::stats::bootstrap::bootstrap_ci_par;
-use datatrans::stats::summary::mean;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -111,32 +109,6 @@ fn fit_curve_fold_errors_invariant_across_thread_counts() {
                 "random R² at {threads} threads"
             );
         }
-    }
-}
-
-#[test]
-fn bootstrap_ci_invariant_across_thread_counts() {
-    let data: Vec<f64> = (0..60).map(|i| ((i * 13) % 29) as f64 * 0.5).collect();
-    let seq = bootstrap_ci_par(&data, mean, 400, 0.95, 23, Parallelism::Sequential)
-        .expect("sequential ci");
-    for threads in THREAD_COUNTS {
-        let par = bootstrap_ci_par(&data, mean, 400, 0.95, 23, Parallelism::Threads(threads))
-            .expect("parallel ci");
-        assert_eq!(
-            seq.lower.to_bits(),
-            par.lower.to_bits(),
-            "lower at {threads} threads"
-        );
-        assert_eq!(
-            seq.upper.to_bits(),
-            par.upper.to_bits(),
-            "upper at {threads} threads"
-        );
-        assert_eq!(
-            seq.estimate.to_bits(),
-            par.estimate.to_bits(),
-            "estimate at {threads} threads"
-        );
     }
 }
 
