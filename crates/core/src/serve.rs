@@ -24,11 +24,17 @@
 //! distinct index once per catalog version, on whichever worker first
 //! needs it, while the rest of the pass runs beside that build.
 //!
+//! A pass evaluates each distinct request once, however many slots repeat
+//! it, and starts the costliest requests first (GA-kNN, then MLPᵀ, then
+//! NNᵀ; within a model, approx before confidence before plain), so a long
+//! request does not start last while the other workers idle.
+//!
 //! Responses are returned in request order and are **bitwise-identical**
 //! at any thread count, on dense and sharded backings, and under any
 //! batch permutation (each response depends only on its own request and
 //! the stored data; `tests/query_engine.rs` pins all three properties).
 
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -85,6 +91,13 @@ pub enum ServeError {
         /// The catalog's machine count (exclusive bound).
         bound: usize,
     },
+    /// A predictive machine named more than once. MLPᵀ trains one row per
+    /// entry, so repeats would let one request cost without bound; with
+    /// distinct machines the list is bounded by the machine count.
+    DuplicatePredictive {
+        /// The first entry that repeats an earlier one.
+        index: usize,
+    },
     /// The restriction references an out-of-range index
     /// (see [`MachineFilter::validate`]).
     InvalidRestriction {
@@ -139,6 +152,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::PredictiveOutOfRange { index, bound } => {
                 write!(f, "predictive machine {index} out of bounds (< {bound})")
+            }
+            ServeError::DuplicatePredictive { index } => {
+                write!(f, "predictive machine {index} named more than once")
             }
             ServeError::InvalidRestriction { what, index, bound } => {
                 write!(
@@ -600,6 +616,10 @@ fn validate_request<D: DatabaseView + ?Sized>(
     if let Some(&m) = request.predictive.iter().find(|&&m| m >= bound) {
         return Err(ServeError::PredictiveOutOfRange { index: m, bound });
     }
+    let mut seen = HashSet::with_capacity(request.predictive.len());
+    if let Some(&m) = request.predictive.iter().find(|&&m| !seen.insert(m)) {
+        return Err(ServeError::DuplicatePredictive { index: m });
+    }
     if request.top_k == Some(0) {
         return Err(ServeError::ZeroTopK);
     }
@@ -874,10 +894,10 @@ fn serve_with<D: DatabaseView + ?Sized>(
 /// # Errors
 ///
 /// Returns a typed [`ServeError`]: a validation variant when the request
-/// is malformed (unknown benchmark, empty or out-of-range predictive set,
-/// out-of-range restriction, empty candidate set, invalid confidence
-/// parameters), or [`ServeError::Evaluation`] when task construction or
-/// the model itself fails.
+/// is malformed (unknown benchmark, empty, out-of-range or repeating
+/// predictive set, out-of-range restriction, empty candidate set, invalid
+/// confidence parameters), or [`ServeError::Evaluation`] when task
+/// construction or the model itself fails.
 pub fn serve_one<D: DatabaseView + ?Sized>(
     db: &D,
     request: &RankRequest,
@@ -895,24 +915,91 @@ pub fn serve_one<D: DatabaseView + ?Sized>(
 /// can neither poison nor panic the batch, on either backing at any
 /// thread count.
 ///
+/// The pass is **work-conserving**:
+///
+/// * **Duplicates share one evaluation.** Two requests count as one
+///   exactly when the [`ResultCache`] would: equal [`RequestFingerprint`]s
+///   *and* equal requests (`==` alone would merge requests that differ
+///   only in the sign of a zero, which the fingerprint keeps apart). Each
+///   distinct request is evaluated once and its result cloned into every
+///   duplicate slot.
+/// * **Costliest first.** The distinct requests are dispatched in a fixed
+///   order read off each request: GA-kNN, then MLPᵀ, then NNᵀ, and within
+///   one model an approx request (two model fits) before a confidence
+///   request (one fit plus a bootstrap) before a plain one; ties keep
+///   request order. Workers take requests in that order, so a long
+///   request starts first and the short ones fill the other workers
+///   around it instead of leaving one idle at the end of the pass.
+///
 /// Each worker reads the shared view and keeps a model cache as scratch.
 /// An approx request takes its bucket index from
 /// [`DatabaseView::bucket_index`] on its own worker, so the first request
 /// after a write builds the index while the other workers serve. The index
 /// is a pure function of the catalog bytes, and requests are otherwise
-/// independent, so the result vector is bitwise-identical at any thread
-/// count and under any batch permutation (permuting requests permutes
-/// results identically).
+/// independent, so neither the dispatch order nor the coalescing shows:
+/// the result vector is bitwise-identical at any thread count and under
+/// any batch permutation (permuting requests permutes results
+/// identically), and every slot equals [`serve_one`] on its request.
 pub fn serve_batch<D: DatabaseView + ?Sized>(
     db: &D,
     requests: &[RankRequest],
     config: &ServeConfig,
 ) -> Vec<std::result::Result<RankResponse, ServeError>> {
-    config
-        .parallelism
-        .par_map_with(2, requests, ModelCache::default, |cache, request| {
-            serve_with(db, request, config, cache)
+    // `first[i]`: the first request the cache's rule counts as request
+    // `i`; a request is distinct when that is itself.
+    let mut seen: HashMap<RequestFingerprint, Vec<usize>> = HashMap::new();
+    let first: Vec<usize> = requests
+        .iter()
+        .enumerate()
+        .map(|(i, request)| {
+            let twins = seen.entry(RequestFingerprint::of(request)).or_default();
+            match twins.iter().find(|&&j| requests[j] == *request) {
+                Some(&j) => j,
+                None => {
+                    twins.push(i);
+                    i
+                }
+            }
         })
+        .collect();
+    // Workers take items in slice order; the stable sort keeps request
+    // order among equal ranks.
+    let mut distinct: Vec<usize> = (0..requests.len()).filter(|&i| first[i] == i).collect();
+    distinct.sort_by_key(|&i| dispatch_rank(&requests[i]));
+    let evaluated =
+        config
+            .parallelism
+            .par_map_with(2, &distinct, ModelCache::default, |cache, &i| {
+                serve_with(db, &requests[i], config, cache)
+            });
+    let mut position = vec![0; requests.len()];
+    for (p, &i) in distinct.iter().enumerate() {
+        position[i] = p;
+    }
+    first
+        .iter()
+        .map(|&i| evaluated[position[i]].clone())
+        .collect()
+}
+
+/// The dispatch rank of a request in a [`serve_batch`] pass: lower ranks
+/// start first. The rank orders requests by their usual cost: a GA-kNN
+/// request runs a whole genetic search, MLPᵀ trains a network by SGD and
+/// NNᵀ fits one regression; an approx annex fits the model twice (bucket
+/// centroids, then the survivors) and a confidence annex adds a
+/// bootstrap.
+fn dispatch_rank(request: &RankRequest) -> (u8, u8) {
+    let model = match request.model {
+        ModelKind::GaKnn => 0,
+        ModelKind::MlpT => 1,
+        ModelKind::NnT => 2,
+    };
+    let annex = match (&request.approx, &request.confidence) {
+        (Some(_), _) => 0,
+        (None, Some(_)) => 1,
+        (None, None) => 2,
+    };
+    (model, annex)
 }
 
 /// The answer to one cached batch: per-request results in request order
@@ -942,9 +1029,9 @@ pub struct CachedBatch {
 /// responses are stored verbatim, and every response is a deterministic
 /// function of `(request, catalog)` alone — independent of thread count,
 /// backing, and batch composition. Duplicate requests that miss within
-/// one batch are each evaluated (they produce identical responses, so the
-/// last insert wins and nothing changes); the first hit is only possible
-/// on the *next* batch.
+/// one batch share one evaluation, as in [`serve_batch`], but each slot
+/// still counts as a miss: the first hit is only possible on the *next*
+/// batch.
 ///
 /// Fault isolation matches [`serve_batch`]: a malformed request occupies
 /// its slot with a typed [`ServeError`], counts as a miss, and is never
@@ -1000,18 +1087,84 @@ pub fn serve_batch_cached<D: DatabaseView + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use datatrans_dataset::benchmark::Benchmark;
+    use datatrans_dataset::database::PerfDatabase;
     use datatrans_dataset::generator::{generate, DatasetConfig};
-    use datatrans_dataset::machine::ProcessorFamily;
+    use datatrans_dataset::machine::{Machine, ProcessorFamily};
+    use datatrans_dataset::query::QueryPlan;
     use datatrans_dataset::sharded::ShardedPerfDatabase;
+    use datatrans_dataset::view::RowSegment;
     use datatrans_dataset::workload_synth::{synthesize, WorkloadProfile};
+    use datatrans_linalg::VecView;
 
     fn quick() -> ServeConfig {
         ServeConfig {
             parallelism: Parallelism::Sequential,
             ..ServeConfig::quick()
         }
+    }
+
+    /// A dense catalog that counts its query plans: serving makes one per
+    /// evaluated request.
+    struct CountingView<'a> {
+        inner: &'a PerfDatabase,
+        plans: AtomicUsize,
+    }
+
+    impl<'a> CountingView<'a> {
+        fn new(inner: &'a PerfDatabase) -> Self {
+            CountingView {
+                inner,
+                plans: AtomicUsize::new(0),
+            }
+        }
+
+        fn plans(&self) -> usize {
+            self.plans.load(Ordering::SeqCst)
+        }
+    }
+
+    impl DatabaseView for CountingView<'_> {
+        fn n_benchmarks(&self) -> usize {
+            self.inner.n_benchmarks()
+        }
+        fn n_machines(&self) -> usize {
+            self.inner.n_machines()
+        }
+        fn benchmarks(&self) -> &[Benchmark] {
+            self.inner.benchmarks()
+        }
+        fn machines(&self) -> &[Machine] {
+            self.inner.machines()
+        }
+        fn score(&self, b: usize, m: usize) -> f64 {
+            self.inner.score(b, m)
+        }
+        fn machine_column(&self, m: usize) -> VecView<'_> {
+            self.inner.machine_column(m)
+        }
+        fn benchmark_row_segments(&self, b: usize) -> Vec<RowSegment<'_>> {
+            self.inner.benchmark_row_segments(b)
+        }
+        fn gather(&self, benchmarks: &[usize], machines: &[usize]) -> Matrix {
+            self.inner.gather(benchmarks, machines)
+        }
+        fn catalog_version(&self) -> u64 {
+            self.inner.catalog_version()
+        }
+        fn plan_machines(&self, filter: &MachineFilter) -> QueryPlan {
+            self.plans.fetch_add(1, Ordering::SeqCst);
+            self.inner.plan_machines(filter)
+        }
+    }
+
+    /// A result's full bytes: `Debug` prints every field, with floats in
+    /// shortest round-trip form and the sign of a zero kept.
+    fn bytes(result: &std::result::Result<RankResponse, ServeError>) -> String {
+        format!("{result:?}")
     }
 
     #[test]
@@ -1160,6 +1313,14 @@ mod tests {
                 index: 117,
                 bound: 117
             })
+        );
+        let request = RankRequest {
+            predictive: vec![30, 0, 60, 0, 30],
+            ..base_request()
+        };
+        assert_eq!(
+            serve_one(&db, &request, &quick()),
+            Err(ServeError::DuplicatePredictive { index: 0 })
         );
     }
 
@@ -1446,6 +1607,92 @@ mod tests {
         );
         assert_eq!(mixed.responses[2], Err(ServeError::ZeroTopK));
         // The error slot was never inserted: warm + cold are resident.
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn batch_evaluates_each_distinct_request_once() {
+        let db = generate(&DatasetConfig::default()).unwrap();
+        let a = RankRequest {
+            predictive: vec![0, 30, 60],
+            top_k: Some(5),
+            ..base_request()
+        };
+        let b = RankRequest {
+            model: ModelKind::MlpT,
+            confidence: Some(ConfidenceConfig {
+                resamples: 30,
+                ..ConfidenceConfig::default()
+            }),
+            ..a.clone()
+        };
+        let batch = [a.clone(), b, a.clone(), a];
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let config = ServeConfig {
+                parallelism,
+                ..quick()
+            };
+            let view = CountingView::new(&db);
+            let results = serve_batch(&view, &batch, &config);
+            assert_eq!(view.plans(), 2, "{parallelism:?}");
+            for (request, result) in batch.iter().zip(&results) {
+                assert!(result.is_ok());
+                assert_eq!(bytes(result), bytes(&serve_one(&db, request, &config)));
+            }
+        }
+    }
+
+    #[test]
+    fn batch_keeps_requests_apart_that_differ_in_the_sign_of_a_zero() {
+        let db = generate(&DatasetConfig::default()).unwrap();
+        let mut workload = synthesize(WorkloadProfile::Scientific, 3);
+        workload.stream_fraction = 0.0;
+        let a = RankRequest {
+            app: AppOfInterest::External(workload),
+            predictive: vec![0, 30, 60],
+            top_k: Some(5),
+            ..base_request()
+        };
+        workload.stream_fraction = -0.0;
+        let signed = RankRequest {
+            app: AppOfInterest::External(workload),
+            ..a.clone()
+        };
+        // Equal under `==`, but not to the cache: their fingerprints
+        // differ, so the pass evaluates both.
+        assert_eq!(a, signed);
+        assert_ne!(RequestFingerprint::of(&a), RequestFingerprint::of(&signed));
+        let view = CountingView::new(&db);
+        let results = serve_batch(&view, &[a.clone(), signed.clone()], &quick());
+        assert_eq!(view.plans(), 2);
+        for (request, result) in [&a, &signed].into_iter().zip(&results) {
+            assert_eq!(bytes(result), bytes(&serve_one(&db, request, &quick())));
+        }
+    }
+
+    #[test]
+    fn cached_batch_counts_every_duplicate_miss_and_evaluates_it_once() {
+        let db = generate(&DatasetConfig::default()).unwrap();
+        let a = RankRequest {
+            predictive: vec![0, 30, 60],
+            top_k: Some(5),
+            ..base_request()
+        };
+        let b = RankRequest {
+            app: AppOfInterest::Suite(1),
+            ..a.clone()
+        };
+        let view = CountingView::new(&db);
+        let mut cache = crate::cache::ResultCache::new(8);
+        let first = serve_batch_cached(&view, &[a.clone(), b, a.clone()], &quick(), &mut cache);
+        assert_eq!((first.hits, first.misses), (0, 3));
+        assert_eq!(view.plans(), 2);
+        assert!(first.responses[0].is_ok());
+        assert_eq!(bytes(&first.responses[0]), bytes(&first.responses[2]));
+        let next = serve_batch_cached(&view, &[a.clone(), a], &quick(), &mut cache);
+        assert_eq!((next.hits, next.misses), (2, 0));
+        assert_eq!(view.plans(), 2);
+        assert_eq!(bytes(&next.responses[0]), bytes(&first.responses[0]));
         assert_eq!(cache.len(), 2);
     }
 

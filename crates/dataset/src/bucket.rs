@@ -185,21 +185,25 @@ impl BucketIndex {
                 value: format!("{n_components} ({n_benchmarks} benchmarks)"),
             });
         }
+        // Machines as samples, benchmarks as features, in log-score space.
+        // One benchmark-major pass reads each score once, so the first bad
+        // cell reported is the first in benchmark-major order.
+        let mut samples = Matrix::zeros(n_machines, n_benchmarks);
         for b in 0..n_benchmarks {
-            for m in 0..n_machines {
-                let s = db.score(b, m);
-                if !(s.is_finite() && s > 0.0) {
-                    return Err(DatasetError::IndexBuild {
-                        reason: format!(
-                            "score({b}, {m}) = {s} is not a positive ratio; \
-                             the log-space projection is undefined"
-                        ),
-                    });
+            for segment in db.benchmark_row_segments(b) {
+                for (m, &s) in (segment.start..).zip(segment.scores) {
+                    if !(s.is_finite() && s > 0.0) {
+                        return Err(DatasetError::IndexBuild {
+                            reason: format!(
+                                "score({b}, {m}) = {s} is not a positive ratio; \
+                                 the log-space projection is undefined"
+                            ),
+                        });
+                    }
+                    samples[(m, b)] = s.ln();
                 }
             }
         }
-        // Machines as samples, benchmarks as features, in log-score space.
-        let samples = Matrix::from_fn(n_machines, n_benchmarks, |m, b| db.score(b, m).ln());
         let pca = Pca::fit(&samples, n_components).map_err(|e| DatasetError::IndexBuild {
             reason: e.to_string(),
         })?;

@@ -72,17 +72,7 @@ impl Pca {
         for m in mean.iter_mut() {
             *m /= n as f64;
         }
-        // Covariance matrix (unbiased).
-        let mut cov = Matrix::zeros(p, p);
-        for row in data.iter_rows() {
-            for a in 0..p {
-                let da = row[a] - mean[a];
-                for b in a..p {
-                    let db = row[b] - mean[b];
-                    cov[(a, b)] += da * db;
-                }
-            }
-        }
+        let mut cov = covariance_upper(data, &mean);
         let denom = (n - 1) as f64;
         for a in 0..p {
             for b in a..p {
@@ -183,9 +173,90 @@ impl Pca {
     }
 }
 
+/// The upper triangle of the scatter matrix of `data` about `mean`
+/// (`p × p`, rows = samples), the lower triangle left zero.
+///
+/// Each sample is centred once, and each triangle row is accumulated as
+/// one contiguous slice. Every entry still sums its sample products in
+/// sample order, so the result is bit-equal to the entry-by-entry loop
+/// (`covariance_upper_ref` in the tests).
+fn covariance_upper(data: &Matrix, mean: &[f64]) -> Matrix {
+    let p = mean.len();
+    let mut cov = Matrix::zeros(p, p);
+    let mut centred = vec![0.0; p];
+    for row in data.iter_rows() {
+        for ((c, &v), &m) in centred.iter_mut().zip(row).zip(mean) {
+            *c = v - m;
+        }
+        for (a, &da) in centred.iter().enumerate() {
+            for (slot, &db) in cov.row_mut(a)[a..].iter_mut().zip(&centred[a..]) {
+                *slot += da * db;
+            }
+        }
+    }
+    cov
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The entry-by-entry scatter loop `covariance_upper` replaced: the
+    /// bit-exact reference.
+    fn covariance_upper_ref(data: &Matrix, mean: &[f64]) -> Matrix {
+        let p = mean.len();
+        let mut cov = Matrix::zeros(p, p);
+        for row in data.iter_rows() {
+            for a in 0..p {
+                let da = row[a] - mean[a];
+                for b in a..p {
+                    let db = row[b] - mean[b];
+                    cov[(a, b)] += da * db;
+                }
+            }
+        }
+        cov
+    }
+
+    #[test]
+    fn covariance_is_bitwise_pinned_to_the_entry_loop() {
+        let mut rows = Vec::new();
+        for i in 0..37 {
+            let t = i as f64;
+            rows.push(vec![
+                (t * 0.37).sin() * 3.0,
+                t.ln_1p(),
+                1.0 / (t + 0.5),
+                (t * 1.3).cos() - 0.25,
+                t * 1e-3 + 7.0,
+                -(t * 0.11).exp(),
+                t * t * 1e-2,
+            ]);
+        }
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let data = Matrix::from_rows(&refs).unwrap();
+        let p = data.cols();
+        let mut mean = vec![0.0; p];
+        for row in data.iter_rows() {
+            for (m, &v) in mean.iter_mut().zip(row) {
+                *m += v;
+            }
+        }
+        for m in mean.iter_mut() {
+            *m /= data.rows() as f64;
+        }
+        let fast = covariance_upper(&data, &mean);
+        let reference = covariance_upper_ref(&data, &mean);
+        for a in 0..p {
+            for b in 0..p {
+                assert_eq!(
+                    fast[(a, b)].to_bits(),
+                    reference[(a, b)].to_bits(),
+                    "entry ({a}, {b})"
+                );
+            }
+        }
+    }
 
     #[test]
     fn first_component_captures_dominant_direction() {

@@ -613,6 +613,7 @@ pub fn serve_error_code(error: &ServeError) -> &'static str {
         ServeError::UnknownBenchmark { .. } => "unknown-benchmark",
         ServeError::EmptyPredictiveSet => "empty-predictive",
         ServeError::PredictiveOutOfRange { .. } => "predictive-out-of-range",
+        ServeError::DuplicatePredictive { .. } => "duplicate-predictive",
         ServeError::InvalidRestriction { .. } => "invalid-restriction",
         ServeError::EmptyCandidates => "empty-candidates",
         ServeError::InvalidConfidence { .. } => "invalid-confidence",

@@ -919,6 +919,10 @@ mod tests {
             err.starts_with("err predictive-out-of-range "),
             "got: {err}"
         );
+        let mut bad = sample_request(0);
+        bad.predictive = vec![0, 30, 0];
+        let err = request_line(&mut reader, &mut stream, &write_request(&bad));
+        assert!(err.starts_with("err duplicate-predictive "), "got: {err}");
         drop((reader, stream));
         server.join();
     }

@@ -248,6 +248,15 @@ fn fuzz_corpus(seed: u64) -> Vec<Vec<u8>> {
             .to_vec(),
         // Valid approx request: parses and serves.
         b"rank model=nnt app=suite:0 predictive=0,30,60 top_k=3 approx=2,8,3".to_vec(),
+        // A predictive machine named twice, and the same seven machines
+        // repeated to near the line cap: refused before MLP^T would train
+        // one row per entry.
+        b"rank model=mlpt app=suite:0 predictive=0,30,0".to_vec(),
+        format!(
+            "rank model=mlpt app=suite:0 predictive={}6",
+            "0,1,2,3,4,5,6,".repeat(4000)
+        )
+        .into_bytes(),
     ];
     let valid = write_request(&RankRequest {
         app: AppOfInterest::Suite(1),

@@ -5,8 +5,8 @@
 //! permutations.
 
 use datatrans::core::serve::{
-    serve_batch, serve_one, AppOfInterest, ConfidenceConfig, ModelKind, RankRequest, RankResponse,
-    ServeConfig, ServeError,
+    serve_batch, serve_one, AppOfInterest, ApproxConfig, ConfidenceConfig, ModelKind, RankRequest,
+    RankResponse, ServeConfig, ServeError,
 };
 use datatrans::dataset::generator::{generate, DatasetConfig};
 use datatrans::dataset::machine::ProcessorFamily;
@@ -105,6 +105,67 @@ fn request_mix(db: &dyn DatabaseView) -> Vec<RankRequest> {
     requests
 }
 
+/// A batch the work-conserving pass reorders and coalesces: all three
+/// models, approx and confidence annexes, and one request twice.
+fn annex_mix() -> Vec<RankRequest> {
+    let base = RankRequest {
+        app: AppOfInterest::Suite(3),
+        model: ModelKind::NnT,
+        predictive: vec![0, 25, 50, 75, 100],
+        restrict: MachineFilter::all(),
+        top_k: Some(6),
+        seed: 5,
+        confidence: None,
+        approx: None,
+    };
+    let approx = Some(ApproxConfig {
+        n_components: 2,
+        n_buckets: 8,
+        probe_buckets: 3,
+    });
+    let confidence = Some(ConfidenceConfig {
+        resamples: 40,
+        ..ConfidenceConfig::default()
+    });
+    let mut requests = vec![
+        base.clone(),
+        RankRequest {
+            model: ModelKind::MlpT,
+            approx,
+            ..base.clone()
+        },
+        RankRequest {
+            app: AppOfInterest::External(synthesize(WorkloadProfile::Scientific, 4)),
+            confidence,
+            ..base.clone()
+        },
+        RankRequest {
+            model: ModelKind::GaKnn,
+            restrict: MachineFilter::family(ProcessorFamily::Xeon),
+            ..base.clone()
+        },
+        RankRequest {
+            model: ModelKind::MlpT,
+            confidence,
+            seed: 6,
+            ..base.clone()
+        },
+        RankRequest {
+            app: AppOfInterest::Suite(7),
+            approx,
+            ..base.clone()
+        },
+        RankRequest {
+            model: ModelKind::GaKnn,
+            approx,
+            seed: 8,
+            ..base.clone()
+        },
+    ];
+    requests.push(requests[1].clone());
+    requests
+}
+
 /// Unwraps a fault-isolated batch in which every slot must have served.
 fn ok_all(slots: Vec<Result<RankResponse, ServeError>>, what: &str) -> Vec<RankResponse> {
     slots
@@ -121,6 +182,7 @@ fn assert_responses_bitwise_eq(a: &[RankResponse], b: &[RankResponse], what: &st
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_eq!(x.method, y.method, "{what}: response {i} method");
         assert_eq!(x.candidates, y.candidates, "{what}: response {i}");
+        assert_eq!(x.approx, y.approx, "{what}: response {i} approx annex");
         assert_eq!(x.ranked.len(), y.ranked.len(), "{what}: response {i}");
         for (j, (r, s)) in x.ranked.iter().zip(&y.ranked).enumerate() {
             assert_eq!(r.machine, s.machine, "{what}: response {i} rank {j}");
@@ -240,32 +302,34 @@ fn batch_order_is_irrelevant() {
     // response depends only on its own request.
     let db = generate(&DatasetConfig::default()).expect("dataset");
     let sharded = ShardedPerfDatabase::from_dense(&db, 5).expect("shardable");
-    let requests = request_mix(&db);
     let config = quick_config(Parallelism::Threads(2));
-    let forward = ok_all(serve_batch(&sharded, &requests, &config), "forward");
-    let reversed_requests: Vec<RankRequest> = requests.iter().rev().cloned().collect();
-    let reversed = ok_all(
-        serve_batch(&sharded, &reversed_requests, &config),
-        "reversed",
-    );
-    let unreversed: Vec<RankResponse> = reversed.into_iter().rev().collect();
-    assert_responses_bitwise_eq(&forward, &unreversed, "reversed batch");
+    for requests in [request_mix(&db), annex_mix()] {
+        let forward = ok_all(serve_batch(&sharded, &requests, &config), "forward");
+        let reversed_requests: Vec<RankRequest> = requests.iter().rev().cloned().collect();
+        let reversed = ok_all(
+            serve_batch(&sharded, &reversed_requests, &config),
+            "reversed",
+        );
+        let unreversed: Vec<RankResponse> = reversed.into_iter().rev().collect();
+        assert_responses_bitwise_eq(&forward, &unreversed, "reversed batch");
+    }
 }
 
 #[test]
 fn batch_agrees_with_one_by_one_serving() {
     let db = generate(&DatasetConfig::default()).expect("dataset");
     let sharded = ShardedPerfDatabase::from_dense(&db, 8).expect("shardable");
-    let requests = request_mix(&db);
     let config = quick_config(Parallelism::Threads(4));
-    let batch = ok_all(serve_batch(&sharded, &requests, &config), "batch");
-    for (i, request) in requests.iter().enumerate() {
-        let single = serve_one(&sharded, request, &config).expect("single");
-        assert_responses_bitwise_eq(
-            std::slice::from_ref(&batch[i]),
-            std::slice::from_ref(&single),
-            &format!("request {i}"),
-        );
+    for requests in [request_mix(&db), annex_mix()] {
+        let batch = ok_all(serve_batch(&sharded, &requests, &config), "batch");
+        for (i, request) in requests.iter().enumerate() {
+            let single = serve_one(&sharded, request, &config).expect("single");
+            assert_responses_bitwise_eq(
+                std::slice::from_ref(&batch[i]),
+                std::slice::from_ref(&single),
+                &format!("request {i}"),
+            );
+        }
     }
 }
 
