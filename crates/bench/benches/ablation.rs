@@ -20,7 +20,6 @@ fn bench_mlp_scaling(c: &mut Criterion) {
                     ..MlpConfig::weka_default(0)
                 },
                 log_domain: true,
-                ..MlpT::default()
             };
             b.iter(|| std::hint::black_box(mlpt.predict(&task).expect("mlpt")))
         });
@@ -34,7 +33,6 @@ fn bench_mlp_scaling(c: &mut Criterion) {
                     ..MlpConfig::weka_default(0)
                 },
                 log_domain: true,
-                ..MlpT::default()
             };
             b.iter(|| std::hint::black_box(mlpt.predict(&task).expect("mlpt")))
         });

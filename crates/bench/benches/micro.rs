@@ -5,8 +5,8 @@
 //! the scalar loop it replaced, the unrolled lane-tree kernels vs their
 //! scalar references (`gemv_unrolled`), the cache-tiled sq-diff builder vs
 //! the naive double loop (`sqdiff_tiled`), the fused scale+clamp pass vs
-//! two passes (`scale_fused`), MLPᵀ batch prediction sequential vs
-//! pooled, the persistent pool vs per-call scoped spawning at
+//! two passes (`scale_fused`), the persistent pool vs per-call scoped
+//! spawning at
 //! GA-generation granularity, the parallel executor's thread scaling, and
 //! the database layer at scale: point queries/gathers (`db_query`) and
 //! row/shard scans (`db_shard_scan`) on a 1k-machine catalog, dense vs
@@ -344,41 +344,6 @@ fn bench_scale_fused(c: &mut Criterion) {
             std::hint::black_box(buf[n - 1])
         })
     });
-    group.finish();
-}
-
-/// MLPᵀ batch prediction with the per-target loop sequential vs fanned out
-/// over the persistent pool. The fit cost is shared (reduced epochs keep
-/// it from drowning the predict loop); only the per-target forward passes
-/// differ. Like `parallel_scaling`, the pooled numbers only beat
-/// sequential on multi-core hardware — on a single-core container the
-/// dispatch overhead shows up as a small slowdown.
-fn bench_mlpt_predict(c: &mut Criterion) {
-    println!(
-        "(note: the pooled/threaded groups below measure dispatch overhead honestly \
-         but only show speedups on multi-core hardware; a single-core container shows none)"
-    );
-    let db = bench_database();
-    let task = bench_task(&db);
-    let mut group = c.benchmark_group("mlpt_predict");
-    group.sample_size(10);
-    let variants: [(&str, Parallelism); 2] = [
-        ("sequential", Parallelism::Sequential),
-        ("pool_4", Parallelism::Threads(4)),
-    ];
-    for (name, parallelism) in variants {
-        group.bench_function(name, |bch| {
-            let mlpt = MlpT {
-                config: MlpConfig {
-                    epochs: 50,
-                    ..MlpConfig::weka_default(0)
-                },
-                parallelism,
-                ..MlpT::default()
-            };
-            bch.iter(|| std::hint::black_box(mlpt.predict(&task).expect("mlpt")))
-        });
-    }
     group.finish();
 }
 
@@ -802,7 +767,6 @@ fn bench_net_serve(c: &mut Criterion) {
         let net_config = NetServerConfig {
             serve: cfg.clone(),
             cache_capacity: 64,
-            ..NetServerConfig::default()
         };
         let server = NetServer::spawn(
             std::sync::Arc::new(dense.clone()),
@@ -932,7 +896,6 @@ criterion_group!(
     bench_gemv_unrolled,
     bench_sqdiff_tiled,
     bench_scale_fused,
-    bench_mlpt_predict,
     bench_executor,
     bench_parallel_scaling,
     bench_db_query,

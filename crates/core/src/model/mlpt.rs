@@ -14,15 +14,10 @@
 use datatrans_linalg::kernels;
 use datatrans_ml::mlp::{MlpConfig, MlpRegressor};
 use datatrans_ml::scale::MinMaxScaler;
-use datatrans_parallel::Parallelism;
 
 use crate::model::Predictor;
 use crate::task::PredictionTask;
 use crate::Result;
-
-/// Smallest target count worth fanning out to pool workers; below this the
-/// per-target prediction loop runs inline on the caller.
-const MIN_PARALLEL_TARGETS: usize = 8;
 
 /// The MLPᵀ predictor (WEKA-default multilayer perceptron, as in the
 /// paper).
@@ -44,13 +39,6 @@ pub struct MlpT {
     /// default: WEKA normalizes inputs linearly, but scores spanning two
     /// orders of magnitude train poorly otherwise.
     pub log_domain: bool,
-    /// Worker threads for the per-target prediction fan-out (each worker
-    /// reuses one [`datatrans_ml::mlp::MlpScratch`]). Predictions are
-    /// bitwise-identical at any thread count. Like GA-kNN, the default is
-    /// `Sequential`: the evaluation harnesses' own (fold × app) fan-out
-    /// already owns the cores; set `Threads(n)` for standalone batch
-    /// prediction over many target machines.
-    pub parallelism: Parallelism,
 }
 
 impl Default for MlpT {
@@ -58,7 +46,6 @@ impl Default for MlpT {
         MlpT {
             config: MlpConfig::weka_default(0),
             log_domain: true,
-            parallelism: Parallelism::Sequential,
         }
     }
 }
@@ -114,22 +101,13 @@ impl Predictor for MlpT {
             .fold(0.0f64, f64::max)
             .max(1.0);
 
-        // Per-target forward passes fan out over the worker pool; each
-        // worker reuses one MlpScratch across its targets, and the merged
-        // results come back in target order, so the output is
-        // bitwise-identical to the sequential loop at any thread count.
-        let mut raw: Vec<f64> = self
-            .parallelism
-            .par_map_indexed_with(
-                MIN_PARALLEL_TARGETS,
-                task.n_targets(),
-                || model.scratch(),
-                |scratch, t| -> Result<f64> {
-                    let raw = model.predict_with_scratch(target_features.row(t), scratch)?;
-                    Ok(if raw.is_finite() { raw } else { fallback })
-                },
-            )
-            .into_iter()
+        // One forward pass per target, all through one MlpScratch.
+        let mut scratch = model.scratch();
+        let mut raw: Vec<f64> = (0..task.n_targets())
+            .map(|t| -> Result<f64> {
+                let raw = model.predict_with_scratch(target_features.row(t), &mut scratch)?;
+                Ok(if raw.is_finite() { raw } else { fallback })
+            })
             .collect::<Result<_>>()?;
         // Clamp stage: one fused pass over the collected raw predictions
         // (the scale factor of 1.0 is an exact identity on finite values,
@@ -227,27 +205,6 @@ mod tests {
         // Looser tolerance: 3 training rows is minimal.
         for (p, a) in pred.iter().zip(&actual) {
             assert!((p - a).abs() / a < 0.8, "predicted {p:.2}, actual {a:.2}");
-        }
-    }
-
-    #[test]
-    fn parallel_predict_matches_sequential_bitwise() {
-        // 12 targets clears MIN_PARALLEL_TARGETS, so the pool really runs.
-        let (task, _) = nonlinear_task(8, 12);
-        let predict = |parallelism| {
-            let mlpt = MlpT {
-                parallelism,
-                ..MlpT::default()
-            };
-            mlpt.predict(&task).unwrap()
-        };
-        let seq = predict(Parallelism::Sequential);
-        for threads in [2, 4] {
-            let par = predict(Parallelism::Threads(threads));
-            assert_eq!(seq.len(), par.len());
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads");
-            }
         }
     }
 

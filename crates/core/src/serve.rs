@@ -6,15 +6,15 @@
 //! ([`ModelKind`]), the predictive machines the requester owns, a
 //! [`MachineFilter`] restricting the candidate targets, and an optional
 //! `top_k` cut. [`serve_batch`] executes many requests in **one pass over
-//! the persistent worker pool**: each worker carries a lazily-built model
-//! cache as its scratch and reads the shared view directly, and every
-//! request independently
+//! the persistent worker pool**: each worker reads the shared view
+//! directly, and every request independently
 //!
 //! 1. **plans** — [`DatabaseView::plan_machines`] resolves the restriction
 //!    (on a sharded backing, shard statistics prune shards that provably
 //!    cannot match),
 //! 2. **gathers** — task construction copies exactly the planned columns,
-//! 3. **predicts** — NNᵀ / MLPᵀ / GA-kNN, and
+//! 3. **predicts** — NNᵀ / MLPᵀ / GA-kNN, built for the request by
+//!    [`ServeConfig::build_model`], and
 //! 4. **ranks** — descending predicted score, truncated to `top_k`.
 //!
 //! A request carrying an [`ApproxConfig`] first narrows the planned
@@ -27,7 +27,9 @@
 //! A pass evaluates each distinct request once, however many slots repeat
 //! it, and starts the costliest requests first (GA-kNN, then MLPᵀ, then
 //! NNᵀ; within a model, approx before confidence before plain), so a long
-//! request does not start last while the other workers idle.
+//! request does not start last while the other workers idle. A request
+//! whose evaluation panics fails alone, as [`ServeError::Panicked`] in its
+//! slots, while the rest of the pass serves.
 //!
 //! Responses are returned in request order and are **bitwise-identical**
 //! at any thread count, on dense and sharded backings, and under any
@@ -37,11 +39,10 @@
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use datatrans_dataset::bucket::BucketIndex;
 use datatrans_dataset::characteristics::WorkloadCharacteristics;
 use datatrans_dataset::generator::NoiseConfig;
-use datatrans_dataset::perf_model::spec_ratio;
 use datatrans_dataset::query::MachineFilter;
 use datatrans_dataset::view::DatabaseView;
 use datatrans_dataset::DatasetError;
@@ -137,6 +138,10 @@ pub enum ServeError {
         /// The invariant that did not hold.
         what: &'static str,
     },
+    /// Evaluating the request panicked. [`serve_batch`] contains the panic
+    /// to the slots of the request that raised it; like
+    /// [`ServeError::Invariant`], it flags a bug in the engine.
+    Panicked,
     /// Task construction or model evaluation failed after validation.
     Evaluation(CoreError),
 }
@@ -179,6 +184,12 @@ impl fmt::Display for ServeError {
             }
             ServeError::Invariant { what } => {
                 write!(f, "serving invariant violated: {what}")
+            }
+            ServeError::Panicked => {
+                write!(
+                    f,
+                    "serving invariant violated: serving this request panicked"
+                )
             }
             ServeError::Evaluation(e) => write!(f, "evaluation failed: {e}"),
         }
@@ -320,7 +331,8 @@ impl ConfidenceConfig {
 /// Parameters of the approximate serving fast path.
 ///
 /// When a request carries one, serving first **coarse-ranks** the
-/// catalog's PCA buckets: a [`BucketIndex`] built at
+/// catalog's PCA buckets: a
+/// [`BucketIndex`](datatrans_dataset::bucket::BucketIndex) built at
 /// `(n_components, n_buckets)` partitions the machines, the request's own
 /// model scores each candidate-holding bucket's reconstructed centroid
 /// column as a synthetic machine, and only machines inside the top
@@ -530,8 +542,11 @@ impl ServeConfig {
         }
     }
 
-    /// Builds the predictor for `kind` at this configuration's budgets.
-    fn build_model(&self, kind: ModelKind) -> Box<dyn Predictor + Send + Sync> {
+    /// Builds the predictor for `kind` at this configuration's budgets:
+    /// MLPᵀ in log domain, and the GA sequential, because the batch
+    /// fan-out owns the cores. A model is an immutable configuration
+    /// holder, so building one per request costs an allocation.
+    pub fn build_model(&self, kind: ModelKind) -> Box<dyn Predictor + Send + Sync> {
         match kind {
             ModelKind::NnT => Box::new(NnT::default()),
             ModelKind::MlpT => Box::new(MlpT {
@@ -556,47 +571,8 @@ impl ServeConfig {
     }
 }
 
-/// Per-worker model scratch: each predictor kind is built once per worker
-/// per batch and reused across the requests that worker serves. Models
-/// are immutable configuration holders, so the cache can never leak state
-/// between requests — it only saves reconstruction.
-#[derive(Default)]
-struct ModelCache {
-    models: [Option<Box<dyn Predictor + Send + Sync>>; 3],
-}
-
-impl ModelCache {
-    /// The worker's predictor for `kind`, built on first use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Invariant`] if the slot is somehow still
-    /// empty after the fill — a cache-logic bug that must degrade the one
-    /// request, not panic the serving process.
-    fn get(
-        &mut self,
-        kind: ModelKind,
-        config: &ServeConfig,
-    ) -> std::result::Result<&dyn Predictor, ServeError> {
-        let slot = match kind {
-            ModelKind::NnT => 0,
-            ModelKind::MlpT => 1,
-            ModelKind::GaKnn => 2,
-        };
-        if self.models[slot].is_none() {
-            self.models[slot] = Some(config.build_model(kind));
-        }
-        self.models[slot]
-            .as_deref()
-            .map(|model| model as &dyn Predictor)
-            .ok_or(ServeError::Invariant {
-                what: "model cache slot empty after fill",
-            })
-    }
-}
-
 /// Validates everything about a request that could otherwise panic or
-/// poison evaluation, so `serve_with` runs on vetted inputs only.
+/// poison evaluation, so [`serve_one`] runs on vetted inputs only.
 fn validate_request<D: DatabaseView + ?Sized>(
     view: &D,
     request: &RankRequest,
@@ -639,54 +615,6 @@ fn validate_request<D: DatabaseView + ?Sized>(
     Ok(())
 }
 
-/// Builds the coarse prediction task: the request's real predictive side,
-/// but the target side replaced by the reconstructed centroid columns of
-/// `bucket_ids` — one synthetic "machine" per candidate bucket. Row
-/// selection mirrors the exact task exactly (leave-one-out drops the app
-/// row; an external app trains on the full suite).
-fn coarse_task<D: DatabaseView + ?Sized>(
-    view: &D,
-    request: &RankRequest,
-    index: &BucketIndex,
-    bucket_ids: &[usize],
-) -> std::result::Result<PredictionTask, ServeError> {
-    let train_benchmarks: Vec<usize> = match &request.app {
-        AppOfInterest::Suite(app) => (0..view.n_benchmarks()).filter(|b| b != app).collect(),
-        AppOfInterest::External(_) => (0..view.n_benchmarks()).collect(),
-    };
-    let train_predictive = view.gather(&train_benchmarks, &request.predictive);
-    let train_target = Matrix::from_fn(train_benchmarks.len(), bucket_ids.len(), |i, j| {
-        index.centroid_column(bucket_ids[j])[train_benchmarks[i]]
-    });
-    let app_predictive: Vec<f64> = match &request.app {
-        AppOfInterest::Suite(app) => request
-            .predictive
-            .iter()
-            .map(|&m| view.score(*app, m))
-            .collect(),
-        AppOfInterest::External(app) => request
-            .predictive
-            .iter()
-            .map(|&m| spec_ratio(&view.machines()[m].micro, app))
-            .collect(),
-    };
-    let train_characteristics = crate::task::characteristics_matrix(view, &train_benchmarks);
-    let app_characteristics = match &request.app {
-        AppOfInterest::Suite(app) => view.benchmarks()[*app].characteristics.to_mica_vector(),
-        AppOfInterest::External(app) => app.to_mica_vector(),
-    };
-    let task = PredictionTask {
-        train_predictive,
-        train_target,
-        app_predictive,
-        train_characteristics,
-        app_characteristics,
-        seed: request.seed,
-    };
-    task.validate()?;
-    Ok(task)
-}
-
 /// The approximate fast path: coarse-rank the candidate buckets by
 /// centroid score with the request's own model, keep the top
 /// `probe_buckets`, and return the surviving candidates (in planned
@@ -695,8 +623,7 @@ fn coarse_task<D: DatabaseView + ?Sized>(
 fn approx_filter<D: DatabaseView + ?Sized>(
     view: &D,
     request: &RankRequest,
-    config: &ServeConfig,
-    cache: &mut ModelCache,
+    model: &dyn Predictor,
     targets: Vec<usize>,
 ) -> std::result::Result<(Vec<usize>, Option<ApproxReport>), ServeError> {
     let Some(approx) = &request.approx else {
@@ -728,11 +655,21 @@ fn approx_filter<D: DatabaseView + ?Sized>(
             }),
         ));
     }
-    let coarse = coarse_task(view, request, &index, &bucket_ids)?;
-    let scores = {
-        let model = cache.get(request.model, config)?;
-        model.predict(&coarse)?
-    };
+    // The coarse task: the request's real predictive side, with one
+    // synthetic target "machine" per candidate bucket, its reconstructed
+    // centroid column.
+    let coarse = PredictionTask::for_app(
+        view,
+        &request.app,
+        &request.predictive,
+        request.seed,
+        |rows| {
+            Matrix::from_fn(rows.len(), bucket_ids.len(), |i, j| {
+                index.centroid_column(bucket_ids[j])[rows[i]]
+            })
+        },
+    )?;
+    let scores = model.predict(&coarse)?;
     // Best-scoring buckets first; ties (and any non-finite score, via the
     // IEEE total order) break toward the lower bucket id, so the ranking
     // is a pure function of the scores.
@@ -823,13 +760,21 @@ fn confidence_report(
     })
 }
 
-/// Serves one request against a view, using (and filling) the worker's
-/// model cache.
-fn serve_with<D: DatabaseView + ?Sized>(
+/// Serves one request (validate → plan → approx filter → gather → predict
+/// → rank).
+///
+/// # Errors
+///
+/// Returns a typed [`ServeError`]: a validation variant when the request
+/// is malformed (unknown benchmark, empty, out-of-range or repeating
+/// predictive set, out-of-range restriction, empty candidate set, invalid
+/// confidence parameters), or [`ServeError::Evaluation`] when task
+/// construction or the model itself fails. A panic during evaluation
+/// reaches the caller; [`serve_batch`] contains it per request.
+pub fn serve_one<D: DatabaseView + ?Sized>(
     view: &D,
     request: &RankRequest,
     config: &ServeConfig,
-    cache: &mut ModelCache,
 ) -> std::result::Result<RankResponse, ServeError> {
     validate_request(view, request)?;
     let plan = view.plan_machines(&request.restrict);
@@ -842,21 +787,22 @@ fn serve_with<D: DatabaseView + ?Sized>(
     if targets.is_empty() {
         return Err(ServeError::EmptyCandidates);
     }
-    let (targets, approx) = approx_filter(view, request, config, cache, targets)?;
+    let model = config.build_model(request.model);
+    let (targets, approx) = approx_filter(view, request, &*model, targets)?;
     if targets.is_empty() {
         // Unreachable by construction (the kept buckets each hold at
         // least one target), but a typed error beats an empty ranking.
         return Err(ServeError::EmptyCandidates);
     }
-    let task = match &request.app {
-        AppOfInterest::Suite(app) => {
-            PredictionTask::leave_one_out(view, *app, &request.predictive, &targets, request.seed)?
-        }
-        AppOfInterest::External(app) => {
-            PredictionTask::external_app(view, app, &request.predictive, &targets, request.seed)?
-        }
-    };
-    let model = cache.get(request.model, config)?;
+    // Validation bounded the app and the predictive set, and the targets
+    // are planned machines minus the predictive set: the split is valid.
+    let task = PredictionTask::for_app(
+        view,
+        &request.app,
+        &request.predictive,
+        request.seed,
+        |rows| view.gather(rows, &targets),
+    )?;
     let predicted = model.predict(&task)?;
     let ranking = Ranking::from_scores(&predicted)?;
     let k = request.top_k.unwrap_or(targets.len()).min(targets.len());
@@ -889,23 +835,6 @@ fn serve_with<D: DatabaseView + ?Sized>(
     })
 }
 
-/// Serves one request (validate → plan → gather → predict → rank).
-///
-/// # Errors
-///
-/// Returns a typed [`ServeError`]: a validation variant when the request
-/// is malformed (unknown benchmark, empty, out-of-range or repeating
-/// predictive set, out-of-range restriction, empty candidate set, invalid
-/// confidence parameters), or [`ServeError::Evaluation`] when task
-/// construction or the model itself fails.
-pub fn serve_one<D: DatabaseView + ?Sized>(
-    db: &D,
-    request: &RankRequest,
-    config: &ServeConfig,
-) -> std::result::Result<RankResponse, ServeError> {
-    serve_with(db, request, config, &mut ModelCache::default())
-}
-
 /// Serves a batch of requests in one pass over the persistent worker
 /// pool, returning one `Result` per request in request order.
 ///
@@ -913,7 +842,9 @@ pub fn serve_one<D: DatabaseView + ?Sized>(
 /// slot, so a malformed request yields a typed [`ServeError`] in its slot
 /// while every other slot carries its correct response — one bad request
 /// can neither poison nor panic the batch, on either backing at any
-/// thread count.
+/// thread count. Each evaluation runs under its own `catch_unwind`: a
+/// request that panics gets [`ServeError::Panicked`] in its slot and in
+/// every duplicate slot, and the rest of the pass serves as usual.
 ///
 /// The pass is **work-conserving**:
 ///
@@ -931,7 +862,7 @@ pub fn serve_one<D: DatabaseView + ?Sized>(
 ///   request starts first and the short ones fill the other workers
 ///   around it instead of leaving one idle at the end of the pass.
 ///
-/// Each worker reads the shared view and keeps a model cache as scratch.
+/// Each worker reads the shared view and builds each request's model.
 /// An approx request takes its bucket index from
 /// [`DatabaseView::bucket_index`] on its own worker, so the first request
 /// after a write builds the index while the other workers serve. The index
@@ -966,12 +897,10 @@ pub fn serve_batch<D: DatabaseView + ?Sized>(
     // order among equal ranks.
     let mut distinct: Vec<usize> = (0..requests.len()).filter(|&i| first[i] == i).collect();
     distinct.sort_by_key(|&i| dispatch_rank(&requests[i]));
-    let evaluated =
-        config
-            .parallelism
-            .par_map_with(2, &distinct, ModelCache::default, |cache, &i| {
-                serve_with(db, &requests[i], config, cache)
-            });
+    let evaluated = config.parallelism.par_map(2, &distinct, |&i| {
+        catch_unwind(AssertUnwindSafe(|| serve_one(db, &requests[i], config)))
+            .unwrap_or(Err(ServeError::Panicked))
+    });
     let mut position = vec![0; requests.len()];
     for (p, &i) in distinct.iter().enumerate() {
         position[i] = p;
@@ -1033,9 +962,10 @@ pub struct CachedBatch {
 /// still counts as a miss: the first hit is only possible on the *next*
 /// batch.
 ///
-/// Fault isolation matches [`serve_batch`]: a malformed request occupies
-/// its slot with a typed [`ServeError`], counts as a miss, and is never
-/// inserted into the cache, so errors cannot displace resident responses.
+/// Fault isolation matches [`serve_batch`]: a malformed or panicking
+/// request occupies its slot with a typed [`ServeError`], counts as a
+/// miss, and is never inserted into the cache, so errors cannot displace
+/// resident responses.
 pub fn serve_batch_cached<D: DatabaseView + ?Sized>(
     db: &D,
     requests: &[RankRequest],
@@ -1107,8 +1037,14 @@ mod tests {
         }
     }
 
+    /// `min_score` threshold on benchmark 0 that makes [`CountingView`]
+    /// panic while planning. Every catalog score clears it, so a request
+    /// carrying it validates.
+    const POISON: f64 = 0.25;
+
     /// A dense catalog that counts its query plans: serving makes one per
-    /// evaluated request.
+    /// evaluated request. Planning the [`POISON`] restriction counts, then
+    /// panics.
     struct CountingView<'a> {
         inner: &'a PerfDatabase,
         plans: AtomicUsize,
@@ -1157,6 +1093,9 @@ mod tests {
         }
         fn plan_machines(&self, filter: &MachineFilter) -> QueryPlan {
             self.plans.fetch_add(1, Ordering::SeqCst);
+            if filter.min_score == Some((0, POISON)) {
+                panic!("poisoned restriction");
+            }
             self.inner.plan_machines(filter)
         }
     }
@@ -1694,6 +1633,70 @@ mod tests {
         assert_eq!(view.plans(), 2);
         assert_eq!(bytes(&next.responses[0]), bytes(&first.responses[0]));
         assert_eq!(cache.len(), 2);
+    }
+
+    /// Two good requests and a panicking one, as
+    /// `[good_a, poison, good_b, poison]`.
+    fn batch_with_poison() -> [RankRequest; 4] {
+        let good_a = RankRequest {
+            predictive: vec![0, 30, 60],
+            top_k: Some(5),
+            ..base_request()
+        };
+        let good_b = RankRequest {
+            app: AppOfInterest::Suite(1),
+            ..good_a.clone()
+        };
+        let poison = RankRequest {
+            restrict: MachineFilter::all().with_min_score(0, POISON),
+            ..good_a.clone()
+        };
+        [good_a, poison.clone(), good_b, poison]
+    }
+
+    #[test]
+    fn batch_contains_a_panic_to_the_slots_of_the_request_that_raised_it() {
+        let db = generate(&DatasetConfig::default()).unwrap();
+        assert!((0..db.n_machines()).all(|m| db.score(0, m) > POISON));
+        let batch = batch_with_poison();
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let config = ServeConfig {
+                parallelism,
+                ..quick()
+            };
+            let view = CountingView::new(&db);
+            let results = serve_batch(&view, &batch, &config);
+            // Each distinct request is planned once: the panic is not
+            // re-served.
+            assert_eq!(view.plans(), 3, "{parallelism:?}");
+            for slot in [0, 2] {
+                assert!(results[slot].is_ok());
+                assert_eq!(
+                    bytes(&results[slot]),
+                    bytes(&serve_one(&db, &batch[slot], &config))
+                );
+            }
+            assert_eq!(results[1], Err(ServeError::Panicked));
+            assert_eq!(results[3], Err(ServeError::Panicked));
+        }
+    }
+
+    #[test]
+    fn cached_batch_counts_panicked_slots_as_misses_and_never_caches_them() {
+        let db = generate(&DatasetConfig::default()).unwrap();
+        let batch = batch_with_poison();
+        let view = CountingView::new(&db);
+        let mut cache = crate::cache::ResultCache::new(8);
+        let first = serve_batch_cached(&view, &batch, &quick(), &mut cache);
+        assert_eq!((first.hits, first.misses), (0, 4));
+        assert_eq!(first.responses[1], Err(ServeError::Panicked));
+        assert_eq!(first.responses[3], Err(ServeError::Panicked));
+        assert_eq!(cache.len(), 2);
+        // Both good requests hit; the panicking one misses and panics again.
+        let second = serve_batch_cached(&view, &batch, &quick(), &mut cache);
+        assert_eq!((second.hits, second.misses), (2, 2));
+        assert_eq!(second.responses, first.responses);
+        assert_eq!(view.plans(), 4);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use datatrans_dataset::perf_model::spec_ratio;
 use datatrans_dataset::view::DatabaseView;
 use datatrans_linalg::Matrix;
 
+use crate::serve::AppOfInterest;
 use crate::{CoreError, Result};
 
 /// One fully-specified prediction problem.
@@ -140,26 +141,9 @@ impl PredictionTask {
             )));
         }
         validate_machine_split(db, predictive, targets)?;
-
-        let train_benchmarks: Vec<usize> = (0..db.n_benchmarks()).filter(|&b| b != app).collect();
-
-        let train_predictive = score_submatrix(db, &train_benchmarks, predictive);
-        let train_target = score_submatrix(db, &train_benchmarks, targets);
-        let app_predictive: Vec<f64> = predictive.iter().map(|&m| db.score(app, m)).collect();
-
-        let train_characteristics = characteristics_matrix(db, &train_benchmarks);
-        let app_characteristics = db.benchmarks()[app].characteristics.to_mica_vector();
-
-        let task = PredictionTask {
-            train_predictive,
-            train_target,
-            app_predictive,
-            train_characteristics,
-            app_characteristics,
-            seed,
-        };
-        task.validate()?;
-        Ok(task)
+        Self::for_app(db, &AppOfInterest::Suite(app), predictive, seed, |rows| {
+            db.gather(rows, targets)
+        })
     }
 
     /// Builds a task for an *external* application of interest (not part of
@@ -180,21 +164,64 @@ impl PredictionTask {
         seed: u64,
     ) -> Result<Self> {
         validate_machine_split(db, predictive, targets)?;
-        let train_benchmarks: Vec<usize> = (0..db.n_benchmarks()).collect();
-        let train_predictive = score_submatrix(db, &train_benchmarks, predictive);
-        let train_target = score_submatrix(db, &train_benchmarks, targets);
-        // "Run" the app on the predictive machines the user owns.
-        let app_predictive: Vec<f64> = predictive
-            .iter()
-            .map(|&m| spec_ratio(&db.machines()[m].micro, app))
-            .collect();
-        let train_characteristics = characteristics_matrix(db, &train_benchmarks);
+        Self::for_app(
+            db,
+            &AppOfInterest::External(*app),
+            predictive,
+            seed,
+            |rows| db.gather(rows, targets),
+        )
+    }
+
+    /// The one constructor behind every task: training rows (every benchmark,
+    /// minus the app's own row for a suite app), the predictive side
+    /// gathered from the backing, the app's side (its stored scores, or
+    /// [`spec_ratio`] on each predictive machine for an external app) and
+    /// the characteristics. `target` builds the target side from the
+    /// training rows: a gather of the target machines for an exact task,
+    /// bucket centroid columns for the approximate path's coarse task.
+    ///
+    /// The gathers are the one unavoidable copy of task construction (a
+    /// strided view cannot express a scattered column subset); the
+    /// predict paths read the gathered matrices through zero-copy views.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidTask`] if the assembled task fails
+    /// [`PredictionTask::validate`].
+    pub(crate) fn for_app<D: DatabaseView + ?Sized>(
+        db: &D,
+        app: &AppOfInterest,
+        predictive: &[usize],
+        seed: u64,
+        target: impl FnOnce(&[usize]) -> Matrix,
+    ) -> Result<Self> {
+        let train_benchmarks: Vec<usize> = match app {
+            AppOfInterest::Suite(app) => (0..db.n_benchmarks()).filter(|b| b != app).collect(),
+            AppOfInterest::External(_) => (0..db.n_benchmarks()).collect(),
+        };
+        let train_predictive = db.gather(&train_benchmarks, predictive);
+        let train_target = target(&train_benchmarks);
+        let (app_predictive, app_characteristics) = match app {
+            AppOfInterest::Suite(app) => (
+                predictive.iter().map(|&m| db.score(*app, m)).collect(),
+                db.benchmarks()[*app].characteristics.to_mica_vector(),
+            ),
+            // "Run" the app on the predictive machines the user owns.
+            AppOfInterest::External(app) => (
+                predictive
+                    .iter()
+                    .map(|&m| spec_ratio(&db.machines()[m].micro, app))
+                    .collect(),
+                app.to_mica_vector(),
+            ),
+        };
         let task = PredictionTask {
             train_predictive,
             train_target,
             app_predictive,
-            train_characteristics,
-            app_characteristics: app.to_mica_vector(),
+            train_characteristics: characteristics_matrix(db, &train_benchmarks),
+            app_characteristics,
             seed,
         };
         task.validate()?;
@@ -242,28 +269,7 @@ fn validate_machine_split<D: DatabaseView + ?Sized>(
     Ok(())
 }
 
-/// Gathers the `benchmarks × machines` submatrix through the backing's
-/// [`DatabaseView::gather`].
-///
-/// The predictive/target machine sets are arbitrary index subsets, so this
-/// gather is the one unavoidable copy of task construction (a strided view
-/// cannot express a scattered column subset). Everything downstream — the
-/// NNᵀ/MLPᵀ/GA-kNN predict paths — reads the gathered matrices through
-/// zero-copy views. Dense backings gather in one pass over the score
-/// matrix; sharded backings locate each column's shard once and copy
-/// verbatim, so the result is bitwise-identical.
-fn score_submatrix<D: DatabaseView + ?Sized>(
-    db: &D,
-    benchmarks: &[usize],
-    machines: &[usize],
-) -> Matrix {
-    db.gather(benchmarks, machines)
-}
-
-pub(crate) fn characteristics_matrix<D: DatabaseView + ?Sized>(
-    db: &D,
-    benchmarks: &[usize],
-) -> Matrix {
+fn characteristics_matrix<D: DatabaseView + ?Sized>(db: &D, benchmarks: &[usize]) -> Matrix {
     let dim = WorkloadCharacteristics::MICA_DIMS;
     let mut m = Matrix::zeros(benchmarks.len(), dim);
     for (i, &b) in benchmarks.iter().enumerate() {

@@ -61,7 +61,6 @@ fn variants(config: &ExperimentConfig) -> Vec<Variant> {
                     ..MlpConfig::weka_default(0)
                 },
                 log_domain: true,
-                ..MlpT::default()
             }),
         });
     }
@@ -75,7 +74,6 @@ fn variants(config: &ExperimentConfig) -> Vec<Variant> {
                     ..MlpConfig::weka_default(0)
                 },
                 log_domain: true,
-                ..MlpT::default()
             }),
         });
     }
@@ -88,7 +86,6 @@ fn variants(config: &ExperimentConfig) -> Vec<Variant> {
                 ..MlpConfig::weka_default(0)
             },
             log_domain: false,
-            ..MlpT::default()
         }),
     });
     // --- NN^T criterion and domain ---

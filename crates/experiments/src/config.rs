@@ -1,12 +1,11 @@
 //! Shared experiment configuration.
 
-use datatrans_core::model::{GaKnn, GaKnnConfig, MlpT, NnT, Predictor};
+use datatrans_core::model::Predictor;
+use datatrans_core::serve::{ModelKind, ServeConfig};
 use datatrans_dataset::database::{MachineIngest, PerfDatabase};
 use datatrans_dataset::generator::{generate, DatasetConfig};
 use datatrans_dataset::sharded::ShardedPerfDatabase;
 use datatrans_dataset::view::DatabaseView;
-use datatrans_ml::ga::GaConfig;
-use datatrans_ml::mlp::MlpConfig;
 use datatrans_parallel::Parallelism;
 
 use crate::Result;
@@ -137,34 +136,16 @@ impl ExperimentConfig {
         }
     }
 
-    /// The paper's three methods with this configuration's budgets.
+    /// The paper's three methods with this configuration's budgets, built
+    /// by the serving engine's one model factory
+    /// ([`ServeConfig::build_model`]): the harness-level (fold × app)
+    /// fan-out owns the cores, so the GA runs sequentially inside a task.
     pub fn methods(&self) -> Vec<Box<dyn Predictor + Send + Sync>> {
-        let mlp_config = MlpConfig {
-            epochs: self.mlp_epochs,
-            ..MlpConfig::weka_default(0)
-        };
-        let ga = GaConfig {
-            population: self.ga_population,
-            generations: self.ga_generations,
-            // The harness-level (fold × app) fan-out owns the cores; a
-            // nested per-generation fan-out would only oversubscribe them.
-            parallelism: Parallelism::Sequential,
-            ..GaConfig::default_seeded(0)
-        };
-        vec![
-            Box::new(NnT::default()),
-            Box::new(MlpT {
-                config: mlp_config,
-                log_domain: true,
-                ..MlpT::default()
-            }),
-            Box::new(GaKnn {
-                config: GaKnnConfig {
-                    ga,
-                    ..GaKnnConfig::default()
-                },
-            }),
-        ]
+        let serve = self.serve_config();
+        ModelKind::ALL
+            .iter()
+            .map(|&kind| serve.build_model(kind))
+            .collect()
     }
 
     /// The two data-transposition methods only (Table 4 evaluates NNᵀ and
@@ -200,8 +181,8 @@ impl ExperimentConfig {
 
     /// The serving engine's configuration at this experiment's budgets:
     /// same model budgets, same fan-out threads.
-    pub fn serve_config(&self) -> datatrans_core::serve::ServeConfig {
-        datatrans_core::serve::ServeConfig {
+    pub fn serve_config(&self) -> ServeConfig {
+        ServeConfig {
             mlp_epochs: self.mlp_epochs,
             ga_population: self.ga_population,
             ga_generations: self.ga_generations,

@@ -71,7 +71,6 @@ pub fn net_server_config(config: &ExperimentConfig) -> NetServerConfig {
     NetServerConfig {
         serve: config.serve_config(),
         cache_capacity: (config.scaled_trials(config.serve_requests) * 2).max(16),
-        ..NetServerConfig::default()
     }
 }
 

@@ -25,7 +25,7 @@
 //! to lanes `0..tail` — the same lane assignment the modular rule gives
 //! them, so chunking changes nothing about the tree.
 //!
-//! Elementwise kernels ([`axpy`], [`scale_into`], [`scale_clamp_in_place`],
+//! Elementwise kernels ([`axpy`], [`scale_clamp_in_place`],
 //! [`pairwise_sq_diffs`]) have no reduction, so their unrolling/tiling is
 //! bitwise-neutral regardless of traversal order; their references pin the
 //! per-element expression instead.
@@ -219,28 +219,6 @@ pub fn axpy(a: &mut [f64], s: f64, b: &[f64]) {
     }
     for (x, y) in ca.into_remainder().iter_mut().zip(cb.remainder()) {
         *x += s * y;
-    }
-}
-
-/// `out[j] = a[j] · s`, unrolled by [`LANES`]. Elementwise, so
-/// bitwise-equal to the plain loop.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-#[inline]
-pub fn scale_into(out: &mut [f64], a: &[f64], s: f64) {
-    check_same_len("scale_into", out, a);
-    let mut co = out.chunks_exact_mut(LANES);
-    let mut ca = a.chunks_exact(LANES);
-    while let (Some(po), Some(pa)) = (co.next(), ca.next()) {
-        po[0] = pa[0] * s;
-        po[1] = pa[1] * s;
-        po[2] = pa[2] * s;
-        po[3] = pa[3] * s;
-    }
-    for (o, x) in co.into_remainder().iter_mut().zip(ca.remainder()) {
-        *o = x * s;
     }
 }
 

@@ -13,7 +13,7 @@
 
 use datatrans_linalg::kernels::{
     axpy, dot_ref, dot_strided, dot_unrolled, pairwise_sq_diffs, pairwise_sq_diffs_ref,
-    scale_clamp_in_place, scale_into, weighted_sqdist_ref, weighted_sqdist_unrolled, LANES,
+    scale_clamp_in_place, weighted_sqdist_ref, weighted_sqdist_unrolled, LANES,
 };
 use datatrans_linalg::Matrix;
 use datatrans_rng::rngs::StdRng;
@@ -106,26 +106,6 @@ fn axpy_matches_plain_loop_bitwise() {
             }
             for (j, (f, r)) in fast.iter().zip(&slow).enumerate() {
                 assert_eq!(f.to_bits(), r.to_bits(), "len {n} case {case} idx {j}");
-            }
-        }
-    }
-}
-
-#[test]
-fn scale_into_matches_plain_loop_bitwise() {
-    let mut rng = StdRng::seed_from_u64(0x5CA);
-    for n in lengths() {
-        for case in 0..CASES {
-            let a = random_vec(&mut rng, n);
-            let s = rng.gen_range(-3.0..3.0);
-            let mut fast = vec![f64::NAN; n];
-            scale_into(&mut fast, &a, s);
-            for (j, (f, x)) in fast.iter().zip(&a).enumerate() {
-                assert_eq!(
-                    f.to_bits(),
-                    (x * s).to_bits(),
-                    "len {n} case {case} idx {j}"
-                );
             }
         }
     }

@@ -70,16 +70,6 @@ fn eigen_trace_preserved() {
 }
 
 #[test]
-fn dot_is_commutative() {
-    let mut rng = StdRng::seed_from_u64(0xA9);
-    for _ in 0..CASES {
-        let a = random_vec(&mut rng, 16, -100.0, 100.0);
-        let b = random_vec(&mut rng, 16, -100.0, 100.0);
-        assert_eq!(vecops::dot(&a, &b).unwrap(), vecops::dot(&b, &a).unwrap());
-    }
-}
-
-#[test]
 fn triangle_inequality() {
     let mut rng = StdRng::seed_from_u64(0xAA);
     for _ in 0..CASES {

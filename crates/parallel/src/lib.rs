@@ -1,11 +1,11 @@
 //! Deterministic persistent-worker-pool execution for the `datatrans`
 //! workspace.
 //!
-//! Every hot loop in the reproduction — GA population fitness, MLPᵀ batch
-//! prediction, the experiment harnesses' (fold × application) grids,
-//! bootstrap resampling — is a *data-parallel map over an index range*
-//! whose per-item results depend only on the item index, never on
-//! evaluation order. This crate exploits that shape: [`Parallelism::par_map`]
+//! Every hot loop in the reproduction — GA population fitness, the serving
+//! engine's batch of requests, the experiment harnesses' (fold ×
+//! application) grids, bootstrap resampling — is a *data-parallel map over
+//! an index range* whose per-item results depend only on the item index,
+//! never on evaluation order. This crate exploits that shape: [`Parallelism::par_map`]
 //! and [`Parallelism::par_map_indexed`] fan the range out across a
 //! process-wide pool of long-lived worker threads (the private `pool`
 //! module) and merge the results back **in input order**, so the output
@@ -23,14 +23,13 @@
 //! [`Parallelism::par_map_indexed_with`] additionally hand every item a
 //! `&mut S` scratch value created **once per worker per call** by an
 //! `init` closure. This is the `Sync` scratch-buffer story for hot loops
-//! whose per-item work wants preallocated buffers (GA-kNN distance
-//! buffers, MLP forward-pass scratch, the serving engine's model cache):
-//! the map closure itself stays `Fn + Sync`, while each worker mutates
-//! only its private scratch. Because the scratch must never influence the
-//! *value* computed for an item (only where intermediates are stored, or
-//! how fast a lookup resolves), results remain bitwise-identical at any
-//! thread count; the sequential fallback reuses a single scratch for the
-//! whole loop.
+//! whose per-item work wants preallocated buffers (GA-kNN's distance
+//! buffers): the map closure itself stays `Fn + Sync`, while each worker
+//! mutates only its private scratch. Because the scratch must never
+//! influence the *value* computed for an item (only where intermediates
+//! are stored, or how fast a lookup resolves), results remain
+//! bitwise-identical at any thread count; the sequential fallback reuses
+//! a single scratch for the whole loop.
 //!
 //! # Choosing a thread count
 //!

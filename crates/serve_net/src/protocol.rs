@@ -619,7 +619,7 @@ pub fn serve_error_code(error: &ServeError) -> &'static str {
         ServeError::InvalidConfidence { .. } => "invalid-confidence",
         ServeError::InvalidApprox { .. } => "invalid-approx",
         ServeError::ZeroTopK => "zero-top-k",
-        ServeError::Invariant { .. } => "invariant",
+        ServeError::Invariant { .. } | ServeError::Panicked => "invariant",
         ServeError::Evaluation(_) => "evaluation",
         // ServeError is #[non_exhaustive]; future variants degrade to the
         // generic code rather than breaking the wire protocol.
@@ -853,6 +853,12 @@ mod tests {
         assert!(line.starts_with("err zero-top-k "));
         let line = write_serve_error(&ServeError::EmptyCandidates);
         assert!(line.starts_with("err empty-candidates "));
+        // A contained panic keeps the exact line of the invariant error
+        // that reported it before the variant existed.
+        assert_eq!(
+            write_serve_error(&ServeError::Panicked),
+            "err invariant serving invariant violated: serving this request panicked"
+        );
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //!
 //! The batcher is the only place a miss is evaluated, and it is
 //! work-conserving: it blocks for the first queued miss, takes whatever
-//! else is already queued (up to [`NetServerConfig::max_batch`]) without
-//! waiting for more, runs one [`serve_batch`] pool pass with no lock held,
-//! inserts the fresh responses into the cache, and then fills each slot.
-//! It never holds the cache lock while a model runs.
+//! else is already queued (up to 32 misses) without waiting for more, runs
+//! one [`serve_batch`] pool pass with no lock held, inserts the fresh
+//! responses into the cache, and then fills each slot. It never holds the
+//! cache lock while a model runs.
 //!
 //! Each connection's writer takes its replies from one queue in request
 //! order and blocks on a pending slot until the batcher fills it, so each
@@ -35,19 +35,20 @@
 //! by construction. The protocol has no request ids, so a hit queued
 //! behind a pending miss on the *same* connection still waits for it.
 //!
-//! The batcher contains panics: a pass that panics is re-served one
-//! request at a time, and only a request that panics on its own is
-//! answered with `err invariant` (counted in [`ServerStats::panics`]).
+//! A request whose evaluation panics fails alone: [`serve_batch`] contains
+//! the panic to its slots as [`ServeError::Panicked`], answered with
+//! `err invariant` and counted in [`ServerStats::panics`], and the rest of
+//! the pass serves.
 //!
 //! # Backpressure
 //!
-//! Each connection has a bounded in-flight budget
-//! ([`NetServerConfig::max_inflight`]): the reader acquires one permit per
-//! request *before* answering or enqueueing it and the writer releases it
-//! after the response line is written. A client that pipelines faster
-//! than the server answers simply stops being read — TCP flow control
-//! pushes back to the sender — so one greedy connection cannot queue
-//! unbounded work.
+//! Each connection's reader-to-writer queue is bounded (64 replies). A
+//! reader that finds it full blocks until the writer takes a reply, so a
+//! client that pipelines faster than the server answers simply stops
+//! being read — TCP flow control pushes back to the sender — and one
+//! greedy connection cannot queue unbounded work. A request line is read
+//! at most [`MAX_LINE_BYTES`] + 1 bytes at a time, so an endless line
+//! costs a bounded buffer too.
 //!
 //! # Graceful drain
 //!
@@ -60,40 +61,40 @@
 //! threads of closed connections each time it accepts a new one, so the
 //! server holds handles for its open connections only.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use datatrans_core::cache::ResultCache;
 use datatrans_core::fingerprint::RequestFingerprint;
-use datatrans_core::serve::{
-    serve_batch, serve_one, RankRequest, RankResponse, ServeConfig, ServeError,
-};
+use datatrans_core::serve::{serve_batch, RankRequest, RankResponse, ServeConfig, ServeError};
 use datatrans_dataset::view::DatabaseView;
 
 use crate::protocol::{
     parse_line, render_result, write_response, write_serve_error, Command, ProtocolError,
+    MAX_LINE_BYTES,
 };
 
 /// How long a blocked reader or the accept loop sleeps between checks of
 /// the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
+/// Most cache misses evaluated in one pool pass.
+const MAX_BATCH: usize = 32;
+
+/// Most replies queued per connection for its writer before the reader
+/// stops pulling new requests off the socket.
+const MAX_INFLIGHT: usize = 64;
+
 /// Tuning knobs of the network front end.
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
     /// The serving-engine configuration used for every batch.
     pub serve: ServeConfig,
-    /// Most cache misses evaluated in one pool pass.
-    pub max_batch: usize,
-    /// Most responses outstanding per connection before its reader stops
-    /// pulling new requests off the socket.
-    pub max_inflight: usize,
     /// Capacity of the server-owned [`ResultCache`].
     pub cache_capacity: usize,
 }
@@ -102,8 +103,6 @@ impl Default for NetServerConfig {
     fn default() -> Self {
         NetServerConfig {
             serve: ServeConfig::default(),
-            max_batch: 32,
-            max_inflight: 64,
             cache_capacity: 256,
         }
     }
@@ -115,7 +114,6 @@ impl NetServerConfig {
         NetServerConfig {
             serve: ServeConfig::quick(),
             cache_capacity: 64,
-            ..NetServerConfig::default()
         }
     }
 }
@@ -152,8 +150,9 @@ pub struct ServerStats {
     /// Candidate machines the approximate path short-circuited past exact
     /// evaluation, summed over all approx responses.
     pub machines_short_circuited: u64,
-    /// Requests answered `err invariant` because serving them on their
-    /// own panicked. The batcher catches the panic and keeps serving.
+    /// Requests answered `err invariant` because evaluating them
+    /// panicked ([`ServeError::Panicked`]). The rest of their pass is
+    /// served, and the batcher keeps serving.
     pub panics: u64,
     /// Gauge: misses sent to the batcher and not yet taken into a pass.
     pub queue_depth: u64,
@@ -245,53 +244,6 @@ enum Reply {
     Ready(String),
     /// A miss's slot, filled by the batcher.
     Pending(mpsc::Receiver<String>),
-}
-
-/// The per-connection in-flight budget: a counting semaphore whose
-/// acquire side is shutdown-aware.
-struct Inflight {
-    max: usize,
-    pending: Mutex<usize>,
-    released: Condvar,
-}
-
-impl Inflight {
-    fn new(max: usize) -> Self {
-        Inflight {
-            // A zero budget would deadlock the reader; one is the
-            // smallest meaningful pipeline depth.
-            max: max.max(1),
-            pending: Mutex::new(0),
-            released: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a permit is free; returns `false` if shutdown arrived
-    /// first (poisoning is impossible: holders never panic mid-lock).
-    fn acquire(&self, shutdown: &AtomicBool) -> bool {
-        let mut pending = match self.pending.lock() {
-            Ok(guard) => guard,
-            Err(_) => return false,
-        };
-        while *pending >= self.max {
-            if shutdown.load(Ordering::Relaxed) {
-                return false;
-            }
-            pending = match self.released.wait_timeout(pending, POLL_INTERVAL) {
-                Ok((guard, _)) => guard,
-                Err(_) => return false,
-            };
-        }
-        *pending += 1;
-        true
-    }
-
-    fn release(&self) {
-        if let Ok(mut pending) = self.pending.lock() {
-            *pending = pending.saturating_sub(1);
-            self.released.notify_one();
-        }
-    }
 }
 
 /// A running network front end. Dropping it triggers shutdown and joins
@@ -451,8 +403,9 @@ fn spawn_connection(
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
 
-    let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-    let inflight = Arc::new(Inflight::new(shared.config.max_inflight));
+    // The bound is the connection's in-flight budget: a reader facing a
+    // full queue blocks until the writer takes a reply.
+    let (reply_tx, reply_rx) = mpsc::sync_channel::<Reply>(MAX_INFLIGHT);
     let mut handles = Vec::with_capacity(2);
 
     let write_stream = stream.try_clone();
@@ -461,13 +414,12 @@ fn spawn_connection(
             shared: Arc::clone(shared),
             misses: work_tx,
             replies: reply_tx,
-            inflight: Arc::clone(&inflight),
         };
         handles.push(thread::spawn(move || reader.run(stream)));
     }
     if let Ok(write_stream) = write_stream {
         handles.push(thread::spawn(move || {
-            run_writer(write_stream, &reply_rx, &inflight);
+            run_writer(write_stream, &reply_rx);
         }));
     }
     handles
@@ -479,91 +431,29 @@ fn spawn_connection(
 struct Reader {
     shared: Arc<Shared>,
     misses: mpsc::Sender<Miss>,
-    replies: mpsc::Sender<Reply>,
-    inflight: Arc<Inflight>,
+    replies: mpsc::SyncSender<Reply>,
 }
 
 impl Reader {
     /// Reads and dispatches lines until EOF, a socket error, shutdown, or
     /// a dead writer or batcher.
     fn run(&self, stream: TcpStream) {
-        let shutdown = &self.shared.shutdown;
-        let mut reader = BufReader::new(stream);
-        let mut buf: Vec<u8> = Vec::new();
-        // When a line overruns the protocol limit its bytes are discarded
-        // as they stream in; the typed error goes out once the newline
-        // arrives.
-        let mut overflow: usize = 0;
-
-        loop {
-            if shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-            match reader.read_until(b'\n', &mut buf) {
-                Ok(0) => break, // EOF
-                Ok(_) => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    // Timeout mid-line: whatever arrived is already
-                    // appended to `buf`; just poll the shutdown flag and
-                    // keep reading.
-                    if overflow == 0 && buf.len() > crate::protocol::MAX_LINE_BYTES {
-                        overflow = buf.len();
-                        buf.clear();
-                    }
-                    continue;
-                }
-                Err(_) => break,
-            }
-            let complete = buf.last() == Some(&b'\n');
-            if complete {
-                buf.pop();
-            }
-            if overflow > 0 || buf.len() > crate::protocol::MAX_LINE_BYTES {
-                if complete {
-                    let got = overflow + buf.len();
-                    buf.clear();
-                    overflow = 0;
-                    if !self.dispatch(Err(ProtocolError::LineTooLong { got })) {
-                        break;
-                    }
-                } else {
-                    // Still mid-overrun: drop the bytes, remember the count.
-                    overflow += buf.len();
-                    buf.clear();
-                }
-                continue;
-            }
-            if !complete {
-                // EOF lands mid-line next iteration; parse what we have so
-                // a final unterminated request still gets its response.
-                continue;
-            }
-            let parsed = parse_line(&buf);
-            buf.clear();
-            if !self.dispatch(parsed) {
-                break;
-            }
-        }
-        // A trailing unterminated line at EOF is still a request.
-        if !buf.is_empty() && !shutdown.load(Ordering::Relaxed) {
-            self.dispatch(parse_line(&buf));
-        }
+        read_lines(
+            &mut BufReader::new(stream),
+            &mut Vec::new(),
+            &self.shared.shutdown,
+            |parsed| self.dispatch(parsed),
+        );
     }
 
-    /// Answers one parsed line under the in-flight budget: a hit, pong or
-    /// protocol error becomes a ready line, a miss goes to the batcher and
-    /// leaves its slot in the writer queue. Returns `false` when the
-    /// connection should stop reading (shutdown, or the writer or batcher
-    /// is gone).
+    /// Answers one parsed line: a hit, pong or protocol error becomes a
+    /// ready line, a miss goes to the batcher and leaves its slot in the
+    /// writer queue, blocking while the queue is full. Returns `false`
+    /// when the connection should stop reading (the writer or batcher is
+    /// gone).
     fn dispatch(&self, parsed: Result<Command, ProtocolError>) -> bool {
         if matches!(parsed, Err(ProtocolError::EmptyLine)) {
             return true;
-        }
-        if !self.inflight.acquire(&self.shared.shutdown) {
-            return false;
         }
         let stats = &self.shared.stats;
         let mut batcher_alive = true;
@@ -598,18 +488,74 @@ impl Reader {
             }
         };
         if self.replies.send(reply).is_err() {
-            self.inflight.release();
             return false;
         }
         batcher_alive
     }
 }
 
+/// Splits `source` into request lines and hands each parsed line to
+/// `dispatch`, until EOF, a read error, `stop`, or `dispatch` returning
+/// `false`. A read that times out mid-line keeps the partial line in `buf`
+/// and polls `stop` again.
+///
+/// One read appends at most [`MAX_LINE_BYTES`] + 1 bytes, so `buf` never
+/// holds more than that: the bytes of an over-long line are counted and
+/// dropped as they stream in, and its [`ProtocolError::LineTooLong`]
+/// goes out, with the exact length, once the newline arrives.
+fn read_lines(
+    source: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    stop: &AtomicBool,
+    mut dispatch: impl FnMut(Result<Command, ProtocolError>) -> bool,
+) {
+    // Bytes of the current line already dropped for overrunning the limit.
+    let mut overflow: usize = 0;
+    while !stop.load(Ordering::Relaxed) {
+        let limit = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
+        match source.by_ref().take(limit).read_until(b'\n', buf) {
+            Ok(0) => break, // EOF
+            Ok(_) => {}
+            // Timeout mid-line: whatever arrived is already in `buf`.
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
+            }
+            Err(_) => break,
+        }
+        let complete = buf.last() == Some(&b'\n');
+        if complete {
+            buf.pop();
+        }
+        if overflow > 0 || buf.len() > MAX_LINE_BYTES {
+            overflow += buf.len();
+            buf.clear();
+        }
+        if !complete {
+            // EOF lands mid-line next iteration; parse what we have so a
+            // final unterminated request still gets its response.
+            continue;
+        }
+        let parsed = match overflow {
+            0 => parse_line(buf),
+            got => Err(ProtocolError::LineTooLong { got }),
+        };
+        buf.clear();
+        overflow = 0;
+        if !dispatch(parsed) {
+            break;
+        }
+    }
+    // A trailing unterminated line at EOF is still a request.
+    if !buf.is_empty() && !stop.load(Ordering::Relaxed) {
+        dispatch(parse_line(buf));
+    }
+}
+
 /// Writes response lines back to the client in request order, blocking
-/// on each pending slot until the batcher fills it and releasing one
-/// in-flight permit per line. Keeps draining (without writing) after a
-/// socket error so permits are never leaked.
-fn run_writer(stream: TcpStream, replies: &mpsc::Receiver<Reply>, inflight: &Inflight) {
+/// on each pending slot until the batcher fills it. Keeps draining
+/// (without writing) after a socket error, so a reader blocked on a full
+/// queue is never stranded behind a dead writer.
+fn run_writer(stream: TcpStream, replies: &mpsc::Receiver<Reply>) {
     let mut out = io::BufWriter::new(stream);
     let mut sink_only = false;
     for reply in replies.iter() {
@@ -631,24 +577,22 @@ fn run_writer(stream: TcpStream, replies: &mpsc::Receiver<Reply>, inflight: &Inf
                 sink_only = true;
             }
         }
-        inflight.release();
     }
 }
 
 /// The single batching thread, the only place a miss is evaluated. It
 /// blocks for the first queued miss, takes whatever else is already
-/// queued (up to `max_batch`) without a timer, serves the pass with no
+/// queued (up to [`MAX_BATCH`]) without a timer, serves the pass with no
 /// lock held, inserts each fresh response into the shared cache, and
 /// only then fills the slots, so a client that reads its answer and asks
 /// again is served from the cache.
 fn run_batcher(shared: &Shared, work_rx: &mpsc::Receiver<Miss>) {
     let stats = &shared.stats;
-    let max_batch = shared.config.max_batch.max(1);
     // Disconnect means every sender (accept loop + readers) is gone and
     // the queue is dry: the drain is complete.
     while let Ok(first) = work_rx.recv() {
         let mut pass = vec![first];
-        pass.extend(work_rx.try_iter().take(max_batch - 1));
+        pass.extend(work_rx.try_iter().take(MAX_BATCH - 1));
         stats
             .queue_depth
             .fetch_sub(pass.len() as u64, Ordering::Relaxed);
@@ -658,8 +602,13 @@ fn run_batcher(shared: &Shared, work_rx: &mpsc::Receiver<Miss>) {
             .unzip();
 
         let version = shared.db.catalog_version();
-        let results = serve_isolated(&*shared.db, &requests, &shared.config.serve, stats);
+        let results = serve_batch(&*shared.db, &requests, &shared.config.serve);
         let n = requests.len() as u64;
+        let panics = results
+            .iter()
+            .filter(|result| matches!(result, Err(ServeError::Panicked)))
+            .count();
+        stats.panics.fetch_add(panics as u64, Ordering::Relaxed);
         stats.batches.fetch_add(1, Ordering::Relaxed);
         stats.requests.fetch_add(n, Ordering::Relaxed);
         stats.misses.fetch_add(n, Ordering::Relaxed);
@@ -681,33 +630,6 @@ fn run_batcher(shared: &Shared, work_rx: &mpsc::Receiver<Miss>) {
             let _ = reply.send(render_result(result));
         }
     }
-}
-
-/// [`serve_batch`] with panics contained. If the pass panics, its
-/// requests are re-served one at a time with [`serve_one`] (the same
-/// bytes as a batch slot), and only a request that panics on its own is
-/// answered [`ServeError::Invariant`] (and counted); every other request
-/// gets the response it would have had.
-fn serve_isolated(
-    db: &(dyn DatabaseView + Send + Sync),
-    requests: &[RankRequest],
-    config: &ServeConfig,
-    stats: &SharedStats,
-) -> Vec<Result<RankResponse, ServeError>> {
-    if let Ok(results) = catch_unwind(AssertUnwindSafe(|| serve_batch(db, requests, config))) {
-        return results;
-    }
-    requests
-        .iter()
-        .map(|request| {
-            catch_unwind(AssertUnwindSafe(|| serve_one(db, request, config))).unwrap_or_else(|_| {
-                stats.panics.fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::Invariant {
-                    what: "serving this request panicked",
-                })
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -831,12 +753,14 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_requests_come_back_in_order_under_tiny_inflight_budget() {
+    fn pipelining_past_the_inflight_budget_keeps_request_order() {
         let db = test_db();
-        let mut config = NetServerConfig::quick();
-        config.max_inflight = 2; // force the reader to stall on the budget
-        config.max_batch = 4;
-        let requests: Vec<RankRequest> = (0..10).map(sample_request).collect();
+        let config = NetServerConfig::quick();
+        // Twice the budget, sent before a single response is read: the
+        // reader must stall on its full reply queue.
+        let requests: Vec<RankRequest> = (0..2 * MAX_INFLIGHT as u64 + 2)
+            .map(|i| sample_request(i % 10))
+            .collect();
         let expected: Vec<String> = serve_batch(&*db, &requests, &config.serve)
             .iter()
             .map(render_result)
@@ -856,8 +780,8 @@ mod tests {
         }
         drop((reader, stream));
         let stats = server.join();
-        assert_eq!(stats.requests, 10);
-        assert_eq!(stats.hits + stats.misses, 10);
+        assert_eq!(stats.requests, requests.len() as u64);
+        assert_eq!(stats.hits + stats.misses, stats.requests);
     }
 
     #[test]
@@ -896,12 +820,49 @@ mod tests {
     fn oversized_line_is_rejected_but_connection_survives() {
         let server = NetServer::spawn(test_db(), "127.0.0.1:0", NetServerConfig::quick()).unwrap();
         let (mut reader, mut stream) = connect(&server);
-        let huge = "x".repeat(crate::protocol::MAX_LINE_BYTES + 10);
+        let huge = "x".repeat(MAX_LINE_BYTES + 10);
         let err = request_line(&mut reader, &mut stream, &huge);
         assert!(err.starts_with("err line-too-long "), "got: {err}");
         assert_eq!(request_line(&mut reader, &mut stream, "ping"), "ok pong");
+        // A line of several MiB streams through in pieces and still gets
+        // its exact length back.
+        let streamed = "x".repeat(4 << 20);
+        let err = request_line(&mut reader, &mut stream, &streamed);
+        assert!(
+            err.starts_with(&format!("err line-too-long line of {} bytes ", 4 << 20)),
+            "got: {err}"
+        );
+        assert_eq!(request_line(&mut reader, &mut stream, "ping"), "ok pong");
         drop((reader, stream));
         server.join();
+    }
+
+    #[test]
+    fn an_endless_line_is_dropped_as_it_streams_and_the_next_line_parses() {
+        const STREAMED: usize = 8 << 20;
+        let mut source = BufReader::new(
+            io::repeat(b'x')
+                .take(STREAMED as u64)
+                .chain(&b"\nping\n"[..]),
+        );
+        let mut buf = Vec::new();
+        let mut got = Vec::new();
+        read_lines(&mut source, &mut buf, &AtomicBool::new(false), |parsed| {
+            got.push(parsed);
+            true
+        });
+        assert_eq!(
+            got,
+            vec![
+                Err(ProtocolError::LineTooLong { got: STREAMED }),
+                Ok(Command::Ping)
+            ]
+        );
+        assert!(
+            buf.capacity() <= 2 * (MAX_LINE_BYTES + 1),
+            "line buffer grew to {} bytes",
+            buf.capacity()
+        );
     }
 
     #[test]

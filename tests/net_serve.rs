@@ -13,13 +13,15 @@
 //!   typed line back per line sent, and a valid request afterwards still
 //!   serves byte-identically;
 //! * a request that panics the serving pass fails only its own line, as
-//!   `err invariant`, and the server keeps serving;
+//!   `err invariant`, without being evaluated a second time, and the
+//!   server keeps serving;
 //! * no head-of-line blocking across connections: while a miss holds the
 //!   batcher, a cache hit on another connection is answered; on the
 //!   same connection the hit waits, so responses stay in request order;
 //! * misses queued while the batcher is busy share its next pass;
 //! * per-connection backpressure and graceful drain preserve ordering
-//!   and completeness under pipelining.
+//!   and completeness under pipelining, and a reader behind a held head
+//!   of line stops answering at the in-flight budget.
 //!
 //! The fault-injection tests serve through [`FaultyView`], which
 //! delegates to a real catalog but panics or blocks inside
@@ -28,6 +30,7 @@
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -362,10 +365,11 @@ fn fuzzed_lines_each_get_one_typed_line_and_never_kill_the_connection() {
 #[test]
 fn backpressure_pipelining_preserves_order_and_drain_flushes_everything() {
     let db = dense_db();
-    let mut config = quick_net_config(Parallelism::Auto);
-    config.max_inflight = 2; // reader must stall on the in-flight budget
-    config.max_batch = 4;
-    let requests = request_mix(&*db);
+    let config = quick_net_config(Parallelism::Auto);
+    // The mix repeated past twice the per-connection in-flight budget (64
+    // replies): the reader must stall on its full reply queue.
+    let mix = request_mix(&*db);
+    let requests: Vec<RankRequest> = mix.iter().cycle().take(2 * 64 + 2).cloned().collect();
     let expected: Vec<String> = serve_batch(&*db, &requests, &config.serve)
         .iter()
         .map(render_result)
@@ -462,11 +466,12 @@ impl Drop for OpenOnDrop {
 }
 
 /// A real catalog behind every [`DatabaseView`] method, except that
-/// `plan_machines` panics on the [`POISON`] restriction and waits at the
-/// gate on the [`HELD`] one.
+/// `plan_machines` panics on the [`POISON`] restriction (counting each
+/// such plan) and waits at the gate on the [`HELD`] one.
 struct FaultyView {
     inner: PerfDatabase,
     gate: Arc<Gate>,
+    poisoned: Arc<AtomicUsize>,
 }
 
 impl DatabaseView for FaultyView {
@@ -509,7 +514,10 @@ impl DatabaseView for FaultyView {
     }
     fn plan_machines(&self, filter: &MachineFilter) -> QueryPlan {
         match filter.min_score {
-            Some((0, threshold)) if threshold == POISON => panic!("poisoned restriction"),
+            Some((0, threshold)) if threshold == POISON => {
+                self.poisoned.fetch_add(1, Ordering::SeqCst);
+                panic!("poisoned restriction")
+            }
             Some((0, threshold)) if threshold == HELD => self.gate.pass(),
             _ => {}
         }
@@ -538,6 +546,8 @@ impl DatabaseView for FaultyView {
 struct FaultyServer {
     server: NetServer,
     gate: Arc<Gate>,
+    /// How many times the server planned a [`POISON`] request.
+    poisoned: Arc<AtomicUsize>,
     plain: PerfDatabase,
     serve: ServeConfig,
 }
@@ -546,9 +556,11 @@ impl FaultyServer {
     fn spawn() -> Self {
         let plain = generate(&DatasetConfig::default()).unwrap();
         let gate = Arc::new(Gate::default());
+        let poisoned = Arc::new(AtomicUsize::new(0));
         let view = FaultyView {
             inner: plain.clone(),
             gate: Arc::clone(&gate),
+            poisoned: Arc::clone(&poisoned),
         };
         let config = quick_net_config(Parallelism::Auto);
         let serve = config.serve.clone();
@@ -556,6 +568,7 @@ impl FaultyServer {
         FaultyServer {
             server,
             gate,
+            poisoned,
             plain,
             serve,
         }
@@ -662,6 +675,8 @@ fn a_panicking_request_fails_alone_and_the_server_keeps_serving() {
     let stats = faulty.server.join();
     assert_eq!(stats.panics, 1, "{stats:?}");
     assert_eq!(stats.hits + stats.misses, stats.requests);
+    // The panic was contained to its request: nothing re-served it.
+    assert_eq!(faulty.poisoned.load(Ordering::SeqCst), 1);
 }
 
 #[test]
@@ -726,6 +741,50 @@ fn a_hit_behind_a_held_miss_on_the_same_connection_keeps_request_order() {
     assert_eq!(warmed.unwrap(), expected);
     assert_eq!(first.unwrap(), faulty.expected(&held));
     assert_eq!(second.unwrap(), expected);
+}
+
+#[test]
+fn a_held_head_of_line_stops_the_reader_at_the_inflight_budget() {
+    // The server's per-connection in-flight budget.
+    const BUDGET: u64 = 64;
+    let faulty = FaultyServer::spawn();
+    let _release = OpenOnDrop(Arc::clone(&faulty.gate));
+    let (warm, held) = (plain_request(0, 1), marked_request(HELD, 2));
+    let (mut stream, mut reader) = faulty.connect();
+    send(&mut stream, &warm);
+    let warmed = recv(&mut reader);
+
+    // Behind a held miss, every request is a hit the reader can answer
+    // at once, so only the budget stops it from answering all of them.
+    let pipelined = 3 * BUDGET;
+    send(&mut stream, &held);
+    for _ in 0..pipelined {
+        send(&mut stream, &warm);
+    }
+    let arrived = faulty.gate.wait_arrivals(1);
+    let filled = faulty.wait_for(|stats| stats.hits >= BUDGET);
+    std::thread::sleep(Duration::from_millis(300));
+    // The queue holds the budget; the reader may have answered one more
+    // before blocking on it.
+    let hits_while_held = faulty.server.stats().hits;
+    faulty.gate.open();
+    let first = recv(&mut reader);
+    let rest: Vec<Result<String, String>> = (0..pipelined).map(|_| recv(&mut reader)).collect();
+
+    assert!(arrived, "the held miss never reached the batcher");
+    assert!(filled, "the reader stopped short of the budget");
+    assert!(
+        hits_while_held <= BUDGET + 1,
+        "{hits_while_held} hits answered behind a held head of line"
+    );
+    let expected = faulty.expected(&warm);
+    assert_eq!(warmed.unwrap(), expected);
+    assert_eq!(first.unwrap(), faulty.expected(&held));
+    for line in rest {
+        assert_eq!(line.unwrap(), expected);
+    }
+    drop((stream, reader));
+    assert_eq!(faulty.server.join().hits, pipelined);
 }
 
 #[test]

@@ -4,15 +4,15 @@
 //! Unit-level coverage of `par_map`/`par_map_with` (ordering, panic
 //! propagation, the sequential-fallback threshold, pool reuse, worker-local
 //! scratch) lives in `datatrans-parallel`; this suite exercises the
-//! wired-through consumers — GA-kNN predictions, MLPᵀ batch predictions
-//! and the fit harness's leave-one-out folds, and the family-CV tables. CI
+//! wired-through consumers — GA-kNN predictions, the fit harness's
+//! leave-one-out folds, and the family-CV tables. CI
 //! additionally runs the whole workspace under `DATATRANS_THREADS=1` and
 //! `=4`, which routes every `Parallelism::Auto` fan-out through both
 //! extremes.
 
 use datatrans::core::eval::family_cv::{family_cross_validation, FamilyCvConfig};
 use datatrans::core::eval::fit::{goodness_of_fit_curve, FitCurveConfig};
-use datatrans::core::model::{GaKnn, MlpT, NnT, Predictor};
+use datatrans::core::model::{GaKnn, NnT, Predictor};
 use datatrans::core::task::PredictionTask;
 use datatrans::dataset::generator::{generate, DatasetConfig};
 use datatrans::dataset::machine::ProcessorFamily;
@@ -45,31 +45,6 @@ fn gaknn_predictions_invariant_across_thread_counts() {
     for threads in THREAD_COUNTS {
         let par = predict(Parallelism::Threads(threads));
         assert_bits_eq(&seq, &par, &format!("GA-kNN at {threads} threads"));
-    }
-}
-
-#[test]
-fn mlpt_predictions_invariant_across_thread_counts() {
-    // Phenom targets (11 machines) clear MLPᵀ's parallel threshold, so the
-    // per-target forward passes really fan out over the pool.
-    let db = generate(&DatasetConfig::default()).expect("dataset");
-    let targets = db.machines_in_family(ProcessorFamily::Phenom);
-    let predictive: Vec<usize> = (0..db.n_machines())
-        .filter(|m| !targets.contains(m))
-        .collect();
-    let task = PredictionTask::leave_one_out(&db, 4, &predictive, &targets, 5).expect("task");
-
-    let predict = |parallelism| {
-        let mlpt = MlpT {
-            parallelism,
-            ..MlpT::default()
-        };
-        mlpt.predict(&task).expect("prediction")
-    };
-    let seq = predict(Parallelism::Sequential);
-    for threads in THREAD_COUNTS {
-        let par = predict(Parallelism::Threads(threads));
-        assert_bits_eq(&seq, &par, &format!("MLP^T at {threads} threads"));
     }
 }
 

@@ -274,7 +274,6 @@ fn full_prediction_runs_identical_on_dense_and_sharded() {
                         epochs: 20,
                         ..MlpConfig::weka_default(0)
                     },
-                    parallelism,
                     ..MlpT::default()
                 }),
                 Box::new(quick_gaknn(parallelism)),
