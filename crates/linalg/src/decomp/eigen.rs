@@ -153,23 +153,26 @@ mod tests {
         let a =
             Matrix::from_rows(&[&[4.0, 1.0, -2.0], &[1.0, 2.0, 0.0], &[-2.0, 0.0, 3.0]]).unwrap();
         let e = symmetric_eigen(&a).unwrap();
-        let n = 3;
-        let lambda = Matrix::from_fn(n, n, |i, j| if i == j { e.values[i] } else { 0.0 });
-        let rec = e
-            .vectors
-            .matmul(&lambda)
-            .unwrap()
-            .matmul(&e.vectors.transpose())
-            .unwrap();
-        assert!(rec.sub(&a).unwrap().max_abs() < 1e-9);
+        let v = &e.vectors;
+        // (V Λ Vᵀ)ᵢⱼ = Σₖ vᵢₖ λₖ vⱼₖ
+        let rec = Matrix::from_fn(3, 3, |i, j| {
+            (0..3).map(|k| v[(i, k)] * e.values[k] * v[(j, k)]).sum()
+        });
+        let err = Matrix::from_fn(3, 3, |i, j| rec[(i, j)] - a[(i, j)]);
+        assert!(err.max_abs() < 1e-9);
     }
 
     #[test]
     fn eigenvectors_are_orthonormal() {
         let a = Matrix::from_rows(&[&[2.0, -1.0], &[-1.0, 2.0]]).unwrap();
         let e = symmetric_eigen(&a).unwrap();
-        let vtv = e.vectors.transpose().matmul(&e.vectors).unwrap();
-        assert!(vtv.sub(&Matrix::identity(2)).unwrap().max_abs() < 1e-10);
+        let v = &e.vectors;
+        // (VᵀV − I)ᵢⱼ = Σₖ vₖᵢ vₖⱼ − δᵢⱼ
+        let err = Matrix::from_fn(2, 2, |i, j| {
+            let dot: f64 = (0..2).map(|k| v[(k, i)] * v[(k, j)]).sum();
+            dot - if i == j { 1.0 } else { 0.0 }
+        });
+        assert!(err.max_abs() < 1e-10);
     }
 
     #[test]

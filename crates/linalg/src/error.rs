@@ -68,12 +68,12 @@ mod tests {
     #[test]
     fn display_messages_are_informative() {
         let e = LinalgError::DimensionMismatch {
-            op: "matmul",
+            op: "mul_vec_into",
             lhs: (2, 3),
             rhs: (4, 5),
         };
         let msg = e.to_string();
-        assert!(msg.contains("matmul"));
+        assert!(msg.contains("mul_vec_into"));
         assert!(msg.contains("2x3"));
         assert!(msg.contains("4x5"));
 

@@ -21,8 +21,9 @@ use crate::{LinalgError, Result};
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
 /// let b = a.transpose();
 /// assert_eq!(b[(0, 1)], 3.0);
-/// let c = a.matmul(&b)?;
-/// assert_eq!(c[(0, 0)], 5.0); // 1*1 + 2*2
+/// let mut c = [0.0; 2];
+/// a.mul_vec_into(&[1.0, 2.0], &mut c)?;
+/// assert_eq!(c, [5.0, 11.0]); // 1*1 + 2*2, 3*1 + 4*2
 /// # Ok(())
 /// # }
 /// ```
@@ -40,15 +41,6 @@ impl Matrix {
             rows,
             cols,
             data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Creates a `rows × cols` matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
         }
     }
 
@@ -228,51 +220,6 @@ impl Matrix {
         t
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let lhs_row = i * rhs.cols;
-                let rhs_row = k * rhs.cols;
-                for j in 0..rhs.cols {
-                    out.data[lhs_row + j] += a * rhs.data[rhs_row + j];
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix–vector product `self * v`.
-    ///
-    /// Allocates the output and delegates to [`Matrix::mul_vec_into`], so
-    /// every matrix–vector product in the workspace reduces over the same
-    /// fixed summation tree (see [`crate::kernels`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `self.cols() != v.len()`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        let mut out = vec![0.0; self.rows];
-        self.mul_vec_into(v, &mut out)?;
-        Ok(out)
-    }
-
     /// Matrix–vector product into a caller-owned buffer: the
     /// allocation-free, row-blocked GEMV of
     /// [`MatrixView::mul_vec_into`] on the full matrix.
@@ -283,33 +230,6 @@ impl Matrix {
     /// `out.len() != rows`.
     pub fn mul_vec_into(&self, v: &[f64], out: &mut [f64]) -> Result<()> {
         self.view().mul_vec_into(v, out)
-    }
-
-    /// Elementwise sum `self + rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if shapes differ.
-    pub fn add(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "add", |a, b| a + b)
-    }
-
-    /// Elementwise difference `self - rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if shapes differ.
-    pub fn sub(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "sub", |a, b| a - b)
-    }
-
-    /// Multiplies every element by `s`.
-    pub fn scale(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|x| x * s).collect(),
-        }
     }
 
     /// Applies `f` to every element, returning a new matrix.
@@ -348,31 +268,6 @@ impl Matrix {
             assert!(c < self.cols, "col index {c} out of bounds ({})", self.cols);
         }
         Matrix::from_fn(rows.len(), cols.len(), |i, j| self[(rows[i], cols[j])])
-    }
-
-    fn zip_with(
-        &self,
-        rhs: &Matrix,
-        op: &'static str,
-        f: impl Fn(f64, f64) -> f64,
-    ) -> Result<Matrix> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::DimensionMismatch {
-                op,
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        })
     }
 }
 
@@ -455,48 +350,9 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_hand_computation() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert!(approx(c[(0, 0)], 19.0));
-        assert!(approx(c[(0, 1)], 22.0));
-        assert!(approx(c[(1, 0)], 43.0));
-        assert!(approx(c[(1, 1)], 50.0));
-    }
-
-    #[test]
-    fn matmul_rejects_bad_shapes() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn matvec_matches_hand_computation() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let y = a.matvec(&[1.0, 1.0]).unwrap();
-        assert_eq!(y, vec![3.0, 7.0]);
-        assert!(a.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn identity_is_matmul_neutral() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i).unwrap(), a);
-        assert_eq!(i.matmul(&a).unwrap(), a);
-    }
-
-    #[test]
-    fn add_sub_scale_map() {
+    fn map_applies_elementwise() {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[3.0, 5.0]]).unwrap();
-        assert_eq!(a.add(&b).unwrap().as_slice(), &[4.0, 7.0]);
-        assert_eq!(b.sub(&a).unwrap().as_slice(), &[2.0, 3.0]);
-        assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0]);
         assert_eq!(a.map(|x| x * x).as_slice(), &[1.0, 4.0]);
-        assert!(a.add(&Matrix::zeros(2, 2)).is_err());
     }
 
     #[test]
@@ -550,8 +406,8 @@ mod tests {
     #[test]
     fn views_agree_with_owned_accessors() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
-        assert_eq!(a.view().to_matrix(), a);
-        assert_eq!(a.transpose_view().to_matrix(), a.transpose());
+        assert_eq!(a.view().map(|x| x), a);
+        assert_eq!(a.transpose_view().map(|x| x), a.transpose());
         for j in 0..a.cols() {
             assert_eq!(a.col_view(j).to_vec(), a.col(j));
         }

@@ -24,7 +24,8 @@
 //! assert_eq!(t.at(2, 1), 6.0);
 //! let col = m.col_view(1);             // no copy
 //! assert_eq!(col.iter().collect::<Vec<_>>(), vec![2.0, 5.0]);
-//! assert_eq!(t.to_matrix(), m.transpose());
+//! let doubled = t.map(|x| 2.0 * x);     // materialized
+//! assert_eq!(doubled, Matrix::from_fn(3, 2, |i, j| 2.0 * m[(j, i)]));
 //! # Ok(())
 //! # }
 //! ```
@@ -137,11 +138,6 @@ impl<'a> MatrixView<'a> {
     /// Iterates over all elements in row-major order of the view.
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
         (0..self.rows).flat_map(move |i| (0..self.cols).map(move |j| self.at(i, j)))
-    }
-
-    /// Materializes the view into an owned matrix.
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_fn(self.rows, self.cols, |i, j| self.at(i, j))
     }
 
     /// Materializes `f` applied to every element into an owned matrix.
@@ -288,16 +284,6 @@ impl<'a> VecView<'a> {
     pub fn to_vec(&self) -> Vec<f64> {
         self.iter().collect()
     }
-
-    /// Dot product with another view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn dot(&self, other: &VecView<'_>) -> f64 {
-        assert_eq!(self.len, other.len, "dot of unequal lengths");
-        self.iter().zip(other.iter()).map(|(a, b)| a * b).sum()
-    }
 }
 
 impl Index<usize> for VecView<'_> {
@@ -345,9 +331,9 @@ mod tests {
     #[test]
     fn transpose_view_equals_materialized_transpose() {
         let m = sample();
-        assert_eq!(m.transpose_view().to_matrix(), m.transpose());
+        assert_eq!(m.transpose_view().map(|x| x), m.transpose());
         // Round trip: transposing the view twice recovers the original.
-        assert_eq!(m.transpose_view().transpose().to_matrix(), m);
+        assert_eq!(m.transpose_view().transpose().map(|x| x), m);
     }
 
     #[test]
@@ -395,17 +381,16 @@ mod tests {
     fn map_applies_elementwise() {
         let m = sample();
         let doubled = m.view().map(|x| 2.0 * x);
-        assert_eq!(doubled, m.scale(2.0));
+        assert_eq!(doubled, Matrix::from_fn(2, 3, |i, j| 2.0 * m[(i, j)]));
     }
 
     #[test]
-    fn vec_view_dot_and_eq() {
+    fn vec_view_eq() {
         let m = sample();
         let r = m.row_view(0);
         let c = m.transpose_view().col_view(0);
         assert_eq!(r, c);
-        let d = r.dot(&m.row_view(1));
-        assert_eq!(d, 1.0 * 4.0 + 2.0 * 5.0 + 3.0 * 6.0);
+        assert_ne!(r, m.row_view(1));
     }
 
     #[test]
@@ -451,9 +436,6 @@ mod tests {
             for (i, (a, b)) in out.iter().zip(&want).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "{rows}x{cols} row {i}");
             }
-            // And against the allocating matvec, which uses the same order.
-            let alloc = m.matvec(&v).unwrap();
-            assert_eq!(out, alloc);
         }
     }
 

@@ -13,6 +13,7 @@ pub enum Activation {
 
 impl Activation {
     /// Applies the activation.
+    #[inline(always)]
     pub fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
@@ -25,6 +26,7 @@ impl Activation {
     ///
     /// Backpropagation caches the forward outputs, so derivatives are taken
     /// with respect to them: sigmoid′ = y(1−y), tanh′ = 1−y², linear′ = 1.
+    #[inline(always)]
     pub fn derivative_from_output(self, y: f64) -> f64 {
         match self {
             Activation::Sigmoid => y * (1.0 - y),

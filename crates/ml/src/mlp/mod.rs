@@ -17,6 +17,15 @@
 //! ([`MlpRegressor::predict_with_scratch`]) amortizes it across calls —
 //! no `Vec<Vec<f64>>` is allocated anywhere on the hot path.
 //!
+//! Training, 500 epochs of per-sample SGD, is most of an MLPᵀ
+//! prediction. Its loop is compiled twice from one source: a portable copy
+//! and an AVX2 copy, which training runs when
+//! `is_x86_feature_detected!("avx2")` holds. AVX2 only widens the
+//! registers of the elementwise weight/velocity update and of the fixed
+//! 4-lane dot products: it enables no FMA, and every reduction keeps its
+//! summation tree, so both copies give the same bits, and a unit test
+//! pins them together. Other CPUs run the portable copy.
+//!
 //! # Example
 //!
 //! ```
@@ -240,6 +249,22 @@ impl MlpRegressor {
         input_scaler: MinMaxScaler,
         config: &MlpConfig,
     ) -> Result<Self> {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let (mut model, scaled_x, scaled_y) =
+            Self::untrained(x, y, input_scaler, config, &mut rng)?;
+        model.train(&scaled_x, &scaled_y, config, &mut rng);
+        Ok(model)
+    }
+
+    /// The network before training, with its scaled training set: the
+    /// weights are drawn from `rng`, which training then shuffles with.
+    fn untrained(
+        x: &Matrix,
+        y: &[f64],
+        input_scaler: MinMaxScaler,
+        config: &MlpConfig,
+        rng: &mut StdRng,
+    ) -> Result<(Self, Matrix, Vec<f64>)> {
         // WEKA-style normalization of attributes and numeric class to [-1,1].
         let y_matrix = Matrix::from_vec(y.len(), 1, y.to_vec())?;
         let target_scaler = MinMaxScaler::weka(&y_matrix)?;
@@ -257,26 +282,58 @@ impl MlpRegressor {
             config.hidden_layers.clone()
         };
 
-        let mut rng = StdRng::seed_from_u64(config.seed);
         let mut layers = Vec::with_capacity(hidden.len() + 1);
         let mut prev = n_inputs;
         for &h in &hidden {
-            layers.push(Layer::new(prev, h, config.hidden_activation, &mut rng));
+            layers.push(Layer::new(prev, h, config.hidden_activation, rng));
             prev = h;
         }
-        layers.push(Layer::new(prev, 1, Activation::Linear, &mut rng));
+        layers.push(Layer::new(prev, 1, Activation::Linear, rng));
 
-        let mut model = MlpRegressor {
+        let model = MlpRegressor {
             layers,
             input_scaler,
             target_scaler,
             n_inputs,
         };
-        model.train(&scaled_x, &scaled_y, config, &mut rng);
-        Ok(model)
+        Ok((model, scaled_x, scaled_y))
     }
 
+    /// Runs the SGD loop through the widest compiled copy the CPU can
+    /// execute: [`Self::train_avx2`] where AVX2 is detected, else
+    /// [`Self::train_portable`]. Both copies give the same bits.
     fn train(&mut self, x: &Matrix, y: &[f64], config: &MlpConfig, rng: &mut StdRng) {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2, the one feature `train_avx2` enables, was just
+            // detected on the running CPU.
+            #[allow(unsafe_code)]
+            unsafe {
+                self.train_avx2(x, y, config, rng);
+            }
+            return;
+        }
+        self.train_portable(x, y, config, rng);
+    }
+
+    /// [`Self::train_portable`], compiled with AVX2 so the weight/velocity
+    /// update and the lane-tree dot products run in 256-bit registers.
+    ///
+    /// Bit-identical to the portable copy: AVX2 does not enable FMA and
+    /// rustc never contracts `a * b + c` into one, every reduction keeps
+    /// the fixed 4-lane tree of `datatrans_linalg::kernels`, and the
+    /// sigmoid calls the same libm `exp`. Every helper of the loop is
+    /// `#[inline(always)]`, so all of it compiles inside this copy.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn train_avx2(&mut self, x: &Matrix, y: &[f64], config: &MlpConfig, rng: &mut StdRng) {
+        self.train_portable(x, y, config, rng);
+    }
+
+    /// The SGD loop: `config.epochs` passes of per-sample forward and
+    /// backward passes over one reused scratch.
+    #[inline(always)]
+    fn train_portable(&mut self, x: &Matrix, y: &[f64], config: &MlpConfig, rng: &mut StdRng) {
         let n = x.rows();
         let mut order: Vec<usize> = (0..n).collect();
         let mut scratch = self.scratch();
@@ -296,6 +353,7 @@ impl MlpRegressor {
         }
     }
 
+    #[inline(always)]
     fn backward(
         &mut self,
         input: &[f64],
@@ -421,11 +479,13 @@ fn validate_training_data(x: &Matrix, y: &[f64]) -> Result<()> {
 }
 
 /// Forward pass writing each layer's activations into its scratch segment.
+#[inline(always)]
 fn forward_into(layers: &[Layer], input: &[f64], scratch: &mut MlpScratch) {
     let MlpScratch { buf, bounds, .. } = scratch;
     forward_segments(layers, input, buf, bounds);
 }
 
+#[inline(always)]
 fn forward_segments(layers: &[Layer], input: &[f64], buf: &mut [f64], bounds: &[(usize, usize)]) {
     for (li, layer) in layers.iter().enumerate() {
         let (start, end) = bounds[li];
@@ -443,6 +503,7 @@ fn forward_segments(layers: &[Layer], input: &[f64], buf: &mut [f64], bounds: &[
     }
 }
 
+#[inline(always)]
 fn last_output(scratch: &MlpScratch) -> f64 {
     scratch.buf[scratch.bounds.last().expect("at least one layer").0]
 }
@@ -450,6 +511,7 @@ fn last_output(scratch: &MlpScratch) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datatrans_rng::Rng;
 
     fn grid_xy() -> (Matrix, Vec<f64>) {
         // y = 2*x1 - x2 + 0.5 over a 5x5 grid.
@@ -630,6 +692,87 @@ mod tests {
         let scaler = MinMaxScaler::weka(&narrow).unwrap();
         let cfg = MlpConfig::weka_default(1);
         assert!(MlpRegressor::fit_with_input_scaler(&x, &y, scaler, &cfg).is_err());
+    }
+
+    /// Every trained parameter and momentum buffer, as bits.
+    fn state_bits(model: &MlpRegressor) -> Vec<Vec<u64>> {
+        model
+            .layers
+            .iter()
+            .flat_map(|l| [&l.weights, &l.biases, &l.weight_velocity, &l.bias_velocity])
+            .map(|v| v.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    /// Trains clones of one untrained network through `train` (which
+    /// dispatches to `train_avx2` on an AVX2 CPU) and through
+    /// `train_portable`, and asserts both end in the same bits.
+    fn assert_copies_agree(x: &Matrix, y: &[f64], config: &MlpConfig, what: &str) {
+        let scaler = MinMaxScaler::weka(x).unwrap();
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let (model, scaled_x, scaled_y) =
+            MlpRegressor::untrained(x, y, scaler, config, &mut rng).unwrap();
+        let mut portable = model.clone();
+        portable.train_portable(&scaled_x, &scaled_y, config, &mut rng.clone());
+        let mut dispatched = model;
+        dispatched.train(&scaled_x, &scaled_y, config, &mut rng);
+        assert_eq!(state_bits(&dispatched), state_bits(&portable), "{what}");
+        for row in x.iter_rows() {
+            let (a, b) = (dispatched.predict(row), portable.predict(row));
+            assert_eq!(
+                a.unwrap().to_bits(),
+                b.unwrap().to_bits(),
+                "{what}: predict"
+            );
+        }
+    }
+
+    #[test]
+    fn avx2_copy_matches_portable_copy_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
+            eprintln!(
+                "no AVX2 on this CPU: `train` runs only the portable copy, nothing to compare"
+            );
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut data = |rows: usize, inputs: usize| {
+            let x = Matrix::from_fn(rows, inputs, |_, _| rng.gen_range(0.5..40.0));
+            let y: Vec<f64> = (0..rows).map(|_| rng.gen_range(1.0..60.0)).collect();
+            (x, y)
+        };
+        for inputs in 1..=29 {
+            for hidden in [1, 2, 7, 14, 15] {
+                for rows in 1..=8 {
+                    let (x, y) = data(rows, inputs);
+                    for shuffle in [true, false] {
+                        let config = MlpConfig {
+                            hidden_layers: vec![hidden],
+                            epochs: 3,
+                            shuffle,
+                            ..MlpConfig::weka_default((inputs * 100 + hidden * 10 + rows) as u64)
+                        };
+                        let what = format!(
+                            "{inputs} inputs, {hidden} hidden, {rows} rows, shuffle {shuffle}"
+                        );
+                        assert_copies_agree(&x, &y, &config, &what);
+                    }
+                }
+            }
+        }
+        // One full fit shaped like a served request: 7 predictive
+        // machines by 28 benchmarks, WEKA's automatic hidden layer.
+        let (x, y) = data(7, 28);
+        assert_copies_agree(
+            &x,
+            &y,
+            &MlpConfig::weka_default(7),
+            "served shape, 500 epochs",
+        );
     }
 
     #[test]

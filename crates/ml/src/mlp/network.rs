@@ -50,6 +50,7 @@ impl Layer {
     /// tree of [`datatrans_linalg::kernels`] (bias added after the
     /// reduction), so forward passes — and therefore whole training
     /// trajectories — are a deterministic function of the weights alone.
+    #[inline(always)]
     pub fn forward(&self, input: &[f64], output: &mut [f64]) {
         debug_assert_eq!(input.len(), self.inputs);
         debug_assert_eq!(output.len(), self.outputs);
@@ -74,6 +75,7 @@ impl Layer {
     /// `-learning_rate * d` hoisted, the same expression per weight as the
     /// per-index loop it replaced, so the loop vectorizes without changing
     /// a bit.
+    #[inline(always)]
     pub fn backward(
         &mut self,
         input: &[f64],
