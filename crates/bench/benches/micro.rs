@@ -30,6 +30,7 @@ use datatrans_core::serve::{
     serve_batch, serve_batch_cached, AppOfInterest, ApproxConfig, ConfidenceConfig, ModelKind,
     RankRequest, ServeConfig,
 };
+use datatrans_dataset::database::MachineIngest;
 use datatrans_dataset::generator::{generate, synthesize_ingest, DatasetConfig, NoiseConfig};
 use datatrans_dataset::machine::ProcessorFamily;
 use datatrans_dataset::query::MachineFilter;
@@ -589,6 +590,16 @@ fn bench_query_batch(c: &mut Criterion) {
 /// request answered from storage). The warm/cold gap is the evaluation
 /// work the cache elides; CI's trajectory gate asserts warm < cold in the
 /// same run (`bench_diff --require-faster`).
+///
+/// The `*_after_push` pair prices the memo of fitted MLPᵀ networks: each
+/// iteration pushes a copy of machine 0 onto a fresh clone of the catalog
+/// (no scaler bound moves) and serves the mix against it, every request a
+/// miss. `reuse_after_push` serves through a cache that last served the
+/// catalog before the push, so every MLPᵀ fit is reused; `refit_after_push`
+/// through a fresh cache, so every fit is trained. The pair trains MLPᵀ
+/// for the serving default of 500 epochs, not the quick budget's 40, so
+/// the fits weigh what they weigh in serving. CI asserts reuse < refit in
+/// the same run.
 fn bench_serve_cache(c: &mut Criterion) {
     let dense = bench_database();
     let sharded = bench_sharded_database_117(&dense);
@@ -613,6 +624,43 @@ fn bench_serve_cache(c: &mut Criterion) {
         bch.iter(|| {
             let batch = serve_batch_cached(&sharded, &requests, &cfg, &mut cache);
             std::hint::black_box(batch.hits)
+        })
+    });
+    let copy = MachineIngest {
+        machine: sharded.machines()[0].clone(),
+        scores: (0..sharded.n_benchmarks())
+            .map(|b| sharded.score(b, 0))
+            .collect(),
+    };
+    let full_mlp = ServeConfig {
+        mlp_epochs: ServeConfig::default().mlp_epochs,
+        ..cfg.clone()
+    };
+    let pushed = || {
+        let mut db = sharded.clone();
+        db.push_machines(std::slice::from_ref(&copy))
+            .expect("pushes");
+        db
+    };
+    group.bench_function("reuse_after_push_mixed16_sharded8", |bch| {
+        let mut cache = ResultCache::new(64);
+        serve_batch_cached(&sharded, &requests, &full_mlp, &mut cache);
+        bch.iter(|| {
+            let db = pushed();
+            // Back on the pre-push version, as if the cache had last
+            // served before this push: the serve drops every response
+            // and keeps the fits.
+            cache.sync_version(sharded.catalog_version());
+            let batch = serve_batch_cached(&db, &requests, &full_mlp, &mut cache);
+            std::hint::black_box(batch.fits_reused)
+        })
+    });
+    group.bench_function("refit_after_push_mixed16_sharded8", |bch| {
+        bch.iter(|| {
+            let db = pushed();
+            let mut cache = ResultCache::new(64);
+            let batch = serve_batch_cached(&db, &requests, &full_mlp, &mut cache);
+            std::hint::black_box(batch.fits_trained)
         })
     });
     group.finish();

@@ -17,10 +17,40 @@
 //! for the oldest entry in O(capacity) — capacities on the serving path
 //! are tens to thousands of entries, where a linear scan over a flat map
 //! beats maintaining an intrusive recency list.
+//!
+//! # Fitted networks survive a version move
+//!
+//! A catalog write moves the version and drops every response, but most
+//! MLPᵀ requests after it train the very network they trained before: a
+//! pushed machine that widens no benchmark's range leaves their training
+//! inputs unchanged. So the cache also keeps a memo of fitted MLPᵀ
+//! networks, which [`ResultCache::sync_version`] does not drop. A network
+//! is looked up by every input its training reads, compared bit for bit:
+//! the predictive machines' log-domain score rows, the app's scores on
+//! them, the input scaler's per-benchmark bounds, and the hyper-parameters
+//! after the task-seed xor. Training is a pure function of those inputs,
+//! so a memoized network is the one a fresh fit would return, and
+//! inference, fallback and clamp then run on it as usual: a response
+//! served through the memo carries the same bytes as one served without
+//! it. Only [`crate::serve::serve_batch_cached`] passes the memo down;
+//! every other path fits afresh.
+//!
+//! The memo holds at most 64 networks, least recently used evicted first.
+//! An entry holds its key's training rows and labels, `8 · (B + 1) · k`
+//! bytes for `k` predictive machines over `B` benchmarks, and a fixed
+//! part: the network's `⌈B / 2⌉ · (B + 2) + 1` weights (no momentum
+//! buffers are kept) and two copies of the input scaler's `2 · B` bounds,
+//! ≈4.7 KB at `B` = 29. Keys grow with the predictive set, which
+//! validation bounds by the catalog: at most `n − 1` machines on an
+//! `n`-machine catalog. So on the 29-benchmark catalogs the worst case is
+//! about `64 · (240 · n + 4,700)` bytes, ≈2.1 MB at 117 machines and
+//! ≈16 MB at 1,000; at a typical 7 predictive machines an entry takes
+//! ≈6.4 KB and a full memo ≈0.4 MB.
 
 use std::collections::HashMap;
 
 use crate::fingerprint::RequestFingerprint;
+use crate::model::FitMemo;
 use crate::serve::{RankRequest, RankResponse};
 
 /// Cumulative cache effectiveness counters.
@@ -32,6 +62,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped because the catalog version moved.
     pub invalidations: u64,
+    /// MLPᵀ fits answered from the memo of fitted networks.
+    pub fits_reused: u64,
+    /// MLPᵀ fits the memo trained (and memoized).
+    pub fits_trained: u64,
 }
 
 /// One resident entry: the full request (collision guard) plus its
@@ -44,11 +78,15 @@ struct Entry {
 }
 
 /// A bounded LRU cache of ranking responses, invalidated wholesale when
-/// the catalog version moves.
+/// the catalog version moves, plus a bounded memo of fitted MLPᵀ networks
+/// that a version move keeps (see the [module docs](self)).
 ///
-/// All resident entries were computed against one catalog version (the
+/// All resident responses were computed against one catalog version (the
 /// last one [`ResultCache::sync_version`] saw): ingest bumps the version,
-/// the next sync drops everything, so a stale ranking can never be served.
+/// the next sync drops every response, so a stale ranking can never be
+/// served. A memoized network is keyed by its training inputs, not by the
+/// version, so it is reused exactly when a fresh fit would train it again.
+/// A clone starts with an empty memo.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
     capacity: usize,
@@ -59,6 +97,8 @@ pub struct ResultCache {
     /// Monotonic recency clock, bumped on every lookup and insert.
     tick: u64,
     stats: CacheStats,
+    /// Fitted MLPᵀ networks, kept across version moves.
+    fits: FitMemo,
 }
 
 impl ResultCache {
@@ -71,6 +111,7 @@ impl ResultCache {
             entries: HashMap::new(),
             tick: 0,
             stats: CacheStats::default(),
+            fits: FitMemo::default(),
         }
     }
 
@@ -89,15 +130,31 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// Cumulative hit/miss/invalidation counters.
+    /// Cumulative hit/miss/invalidation and fit counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
 
+    /// The memo of fitted MLPᵀ networks that cached batches fit through.
+    pub(crate) fn fits(&self) -> &FitMemo {
+        &self.fits
+    }
+
+    /// Adds the fits the memo reused and trained since the last call to
+    /// the cumulative counters, and returns them, in that order.
+    pub(crate) fn count_fits(&mut self) -> (u64, u64) {
+        let (reused, trained) = self.fits.take_counts();
+        self.stats.fits_reused += reused;
+        self.stats.fits_trained += trained;
+        (reused, trained)
+    }
+
     /// Aligns the cache with the catalog version it is serving against,
-    /// dropping every resident entry if the version moved. Returns the
-    /// number of entries dropped (also added to
-    /// [`CacheStats::invalidations`]).
+    /// dropping every resident response if the version moved. Returns the
+    /// number of responses dropped (also added to
+    /// [`CacheStats::invalidations`]). The memo of fitted networks stays:
+    /// its keys are training inputs, which a version move does not make
+    /// stale.
     ///
     /// Call this before looking anything up for a batch — the serving
     /// entry point does ([`crate::serve::serve_batch_cached`]).
@@ -214,7 +271,9 @@ mod tests {
             CacheStats {
                 hits: 1,
                 misses: 1,
-                invalidations: 0
+                invalidations: 0,
+                fits_reused: 0,
+                fits_trained: 0,
             }
         );
     }
@@ -233,7 +292,9 @@ mod tests {
             CacheStats {
                 hits: 0,
                 misses: 1,
-                invalidations: 0
+                invalidations: 0,
+                fits_reused: 0,
+                fits_trained: 0,
             }
         );
         cache.insert(fp, &b, &response(2.0));

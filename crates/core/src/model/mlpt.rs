@@ -11,13 +11,21 @@
 //! benchmark scores, the label is the app's score on it. Prediction applies
 //! the network to each target machine's published benchmark scores.
 
-use datatrans_linalg::kernels;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use datatrans_linalg::{kernels, Matrix};
 use datatrans_ml::mlp::{MlpConfig, MlpRegressor};
 use datatrans_ml::scale::MinMaxScaler;
+use datatrans_ml::MlError;
+use datatrans_parallel::Memo;
 
 use crate::model::Predictor;
 use crate::task::PredictionTask;
 use crate::Result;
+
+/// Most fitted networks one [`FitMemo`] keeps.
+const FIT_MEMO_CAPACITY: usize = 64;
 
 /// The MLPᵀ predictor (WEKA-default multilayer perceptron, as in the
 /// paper).
@@ -55,14 +63,16 @@ impl MlpT {
     pub fn new() -> Self {
         MlpT::default()
     }
-}
 
-impl Predictor for MlpT {
-    fn name(&self) -> &'static str {
-        "MLP^T"
-    }
-
-    fn predict(&self, task: &PredictionTask) -> Result<Vec<f64>> {
+    /// [`Predictor::predict`], taking the fitted network from `fits` when
+    /// given one: the memoized network if its [`FitKey`] is resident, else
+    /// a fresh fit that is memoized. Either way the network is the one a
+    /// fresh fit returns, so the predictions carry the same bits.
+    pub(crate) fn predict_with(
+        &self,
+        task: &PredictionTask,
+        fits: Option<&FitMemo>,
+    ) -> Result<Vec<f64>> {
         task.validate()?;
         let tf = |v: f64| if self.log_domain { v.ln() } else { v };
         let inv = |v: f64| if self.log_domain { v.exp() } else { v };
@@ -85,7 +95,6 @@ impl Predictor for MlpT {
         // for small k — every target row then collapses to one constant
         // prediction.
         let input_scaler = MinMaxScaler::fit_many(&[&x, &target_features], -1.0, 1.0)?;
-        let model = MlpRegressor::fit_with_input_scaler(&x, &y, input_scaler, &config)?;
 
         // Fallback for a diverged network (possible with very small
         // predictive sets): the mean transformed app score, i.e. the
@@ -100,6 +109,17 @@ impl Predictor for MlpT {
             .map(|v| (v - fallback).abs())
             .fold(0.0f64, f64::max)
             .max(1.0);
+
+        let key = FitKey {
+            x,
+            y,
+            input_scaler,
+            config,
+        };
+        let model = match fits {
+            Some(fits) => fits.fit(key)?,
+            None => Arc::new(key.train()?),
+        };
 
         // One forward pass per target, all through one MlpScratch.
         let mut scratch = model.scratch();
@@ -123,10 +143,167 @@ impl Predictor for MlpT {
     }
 }
 
+impl Predictor for MlpT {
+    fn name(&self) -> &'static str {
+        "MLP^T"
+    }
+
+    fn predict(&self, task: &PredictionTask) -> Result<Vec<f64>> {
+        self.predict_with(task, None)
+    }
+}
+
+/// Every input an MLPᵀ fit reads, and nothing else: the training rows and
+/// labels in the model's domain, the transductive input scaler, and the
+/// hyper-parameters after the task-seed xor.
+///
+/// A fit is a pure function of its key — [`FitKey::train`] draws its
+/// weights and shuffles from `config.seed` and reads nothing else — so
+/// two equal keys train the same network, bit for bit. Equality is
+/// bitwise: every `f64` compares by [`f64::to_bits`], because `==` would
+/// merge +0.0 and −0.0, which a fit tells apart.
+///
+/// A key holds its training rows: `8 · (B + 1) · k` bytes for `k`
+/// predictive machines over `B` benchmarks, plus the scaler's `16 · B`.
+#[derive(Debug)]
+pub(crate) struct FitKey {
+    /// Training rows (predictive machines × benchmarks).
+    x: Matrix,
+    /// The app's score on each predictive machine.
+    y: Vec<f64>,
+    /// Per-benchmark range over the predictive and target machines.
+    input_scaler: MinMaxScaler,
+    /// Hyper-parameters, seed already combined with the task seed.
+    config: MlpConfig,
+}
+
+impl FitKey {
+    /// Trains the network this key describes.
+    fn train(&self) -> std::result::Result<MlpRegressor, MlError> {
+        MlpRegressor::fit_with_input_scaler(
+            &self.x,
+            &self.y,
+            self.input_scaler.clone(),
+            &self.config,
+        )
+    }
+}
+
+/// Whether `a` and `b` hold the same `f64` bits, element for element.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits())
+}
+
+impl PartialEq for FitKey {
+    fn eq(&self, other: &Self) -> bool {
+        // Exhaustive patterns: a field added to the key or to `MlpConfig`
+        // fails to compile here until it is compared.
+        let FitKey {
+            x,
+            y,
+            input_scaler,
+            config,
+        } = self;
+        let MlpConfig {
+            hidden_layers,
+            learning_rate,
+            momentum,
+            epochs,
+            seed,
+            shuffle,
+            hidden_activation,
+        } = config;
+        let theirs = &other.config;
+        let ((mins, maxs), (lo, hi)) = (input_scaler.bounds(), input_scaler.output_range());
+        let ((their_mins, their_maxs), (their_lo, their_hi)) = (
+            other.input_scaler.bounds(),
+            other.input_scaler.output_range(),
+        );
+        // Cheapest first: distinct requests mostly differ in the seed.
+        *seed == theirs.seed
+            && *epochs == theirs.epochs
+            && *shuffle == theirs.shuffle
+            && *hidden_activation == theirs.hidden_activation
+            && *hidden_layers == theirs.hidden_layers
+            && same_bits(
+                &[*learning_rate, *momentum],
+                &[theirs.learning_rate, theirs.momentum],
+            )
+            && same_bits(y, &other.y)
+            && same_bits(&[lo, hi], &[their_lo, their_hi])
+            && same_bits(mins, their_mins)
+            && same_bits(maxs, their_maxs)
+            && x.shape() == other.x.shape()
+            && same_bits(x.as_slice(), other.x.as_slice())
+    }
+}
+
+/// A bounded memo of fitted MLPᵀ networks, keyed by [`FitKey`]: the
+/// [`crate::cache::ResultCache`] keeps one across catalog versions.
+///
+/// It holds at most [`FIT_MEMO_CAPACITY`] networks, least recently used
+/// evicted first. Each entry is a key (see [`FitKey`] for its size) and a
+/// fitted network without momentum buffers. A fit error is memoized like
+/// a network: the same inputs give the same error. The counters record how
+/// many fits the memo answered and how many it trained.
+#[derive(Debug, Default)]
+pub(crate) struct FitMemo {
+    fits: Memo<FitKey, std::result::Result<Arc<MlpRegressor>, MlError>, FIT_MEMO_CAPACITY>,
+    reused: AtomicU64,
+    trained: AtomicU64,
+}
+
+impl FitMemo {
+    /// The network `key` describes: the memoized one, or one trained now
+    /// and memoized.
+    fn fit(&self, key: FitKey) -> Result<Arc<MlpRegressor>> {
+        let mut trained = false;
+        let fit = self.fits.get_or_build(key, |key| {
+            trained = true;
+            key.train().map(Arc::new)
+        });
+        let counter = if trained { &self.trained } else { &self.reused };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(fit?)
+    }
+
+    /// Fits reused and fits trained since the last call, in that order.
+    pub(crate) fn take_counts(&self) -> (u64, u64) {
+        (
+            self.reused.swap(0, Ordering::Relaxed),
+            self.trained.swap(0, Ordering::Relaxed),
+        )
+    }
+}
+
+/// Like the memo it holds, a clone starts empty.
+impl Clone for FitMemo {
+    fn clone(&self) -> Self {
+        FitMemo::default()
+    }
+}
+
+/// MLPᵀ taking its fits from a [`FitMemo`]: the model a cached serving
+/// batch builds for an MLPᵀ request.
+pub(crate) struct MemoizedMlpT<'a> {
+    pub(crate) model: MlpT,
+    pub(crate) fits: &'a FitMemo,
+}
+
+impl Predictor for MemoizedMlpT<'_> {
+    fn name(&self) -> &'static str {
+        self.model.name()
+    }
+
+    fn predict(&self, task: &PredictionTask) -> Result<Vec<f64>> {
+        self.model.predict_with(task, Some(self.fits))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datatrans_linalg::Matrix;
+    use datatrans_ml::mlp::Activation;
 
     /// Synthetic task: app score is a fixed non-linear function of two
     /// benchmark scores; machines vary in "speed".
@@ -205,6 +382,91 @@ mod tests {
         // Looser tolerance: 3 training rows is minimal.
         for (p, a) in pred.iter().zip(&actual) {
             assert!((p - a).abs() / a < 0.8, "predicted {p:.2}, actual {a:.2}");
+        }
+    }
+
+    /// An edit of a [`FitKey`]'s inputs: training rows, labels, target
+    /// rows (which only the scaler reads) and hyper-parameters.
+    type KeyEdit = fn(&mut Matrix, &mut Vec<f64>, &mut Matrix, &mut MlpConfig);
+
+    /// A small key whose inputs `edit` changes before the scaler is fitted.
+    /// The target rows span every training row, so an edit of `x` leaves
+    /// the scaler's bounds as they are.
+    fn key_with(edit: KeyEdit) -> FitKey {
+        let mut x = Matrix::from_fn(3, 2, |i, j| i as f64 * 0.5 + j as f64 * 0.25);
+        let mut y = vec![0.0, 1.0, 2.0];
+        let mut targets = Matrix::from_fn(2, 2, |i, _| if i == 0 { -1.0 } else { 4.0 });
+        let mut config = MlpConfig {
+            epochs: 2,
+            ..MlpConfig::weka_default(3)
+        };
+        edit(&mut x, &mut y, &mut targets, &mut config);
+        let input_scaler = MinMaxScaler::fit_many(&[&x, &targets], -1.0, 1.0).unwrap();
+        FitKey {
+            x,
+            y,
+            input_scaler,
+            config,
+        }
+    }
+
+    fn flip_low_bit(v: &mut f64) {
+        *v = f64::from_bits(v.to_bits() ^ 1);
+    }
+
+    #[test]
+    fn fit_key_misses_on_one_changed_bit_in_any_input() {
+        let memo = FitMemo::default();
+        memo.fit(key_with(|_, _, _, _| {})).unwrap();
+        assert_eq!(memo.take_counts(), (0, 1), "first fit trains");
+        memo.fit(key_with(|_, _, _, _| {})).unwrap();
+        assert_eq!(memo.take_counts(), (1, 0), "an equal key hits");
+        let edits: [(&str, KeyEdit); 13] = [
+            ("x cell", |x, _, _, _| flip_low_bit(&mut x[(1, 1)])),
+            ("label", |_, y, _, _| flip_low_bit(&mut y[2])),
+            ("scaler min", |_, _, t, _| flip_low_bit(&mut t[(0, 1)])),
+            ("scaler max", |_, _, t, _| flip_low_bit(&mut t[(1, 0)])),
+            ("learning rate", |_, _, _, c| {
+                flip_low_bit(&mut c.learning_rate)
+            }),
+            ("momentum", |_, _, _, c| flip_low_bit(&mut c.momentum)),
+            ("seed", |_, _, _, c| c.seed ^= 1),
+            ("epochs", |_, _, _, c| c.epochs += 1),
+            ("hidden layers", |_, _, _, c| c.hidden_layers = vec![1]),
+            ("shuffle", |_, _, _, c| c.shuffle = !c.shuffle),
+            ("activation", |_, _, _, c| {
+                c.hidden_activation = Activation::Tanh
+            }),
+            ("-0.0 label", |_, y, _, _| y[0] = -0.0),
+            ("-0.0 x cell", |x, _, _, _| x[(0, 0)] = -0.0),
+        ];
+        for (what, edit) in edits {
+            let key = key_with(edit);
+            assert!(
+                key != key_with(|_, _, _, _| {}),
+                "{what}: keys compare equal"
+            );
+            memo.fit(key).unwrap();
+            assert_eq!(memo.take_counts(), (0, 1), "{what}: hit a different key");
+        }
+        memo.fit(key_with(|_, _, _, _| {})).unwrap();
+        assert_eq!(
+            memo.take_counts(),
+            (1, 0),
+            "the first key is still resident"
+        );
+    }
+
+    #[test]
+    fn memoized_predictions_match_fresh_ones_bitwise() {
+        let (task, _) = nonlinear_task(6, 4);
+        let fresh = MlpT::default().predict(&task).unwrap();
+        let memo = FitMemo::default();
+        for expected in [(0, 1), (1, 0)] {
+            let memoized = MlpT::default().predict_with(&task, Some(&memo)).unwrap();
+            assert_eq!(memo.take_counts(), expected);
+            let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&memoized), bits(&fresh));
         }
     }
 

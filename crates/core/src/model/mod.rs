@@ -14,6 +14,7 @@ mod nnt;
 
 pub use gaknn::{GaKnn, GaKnnConfig};
 pub use mlpt::MlpT;
+pub(crate) use mlpt::{FitMemo, MemoizedMlpT};
 pub use nnt::{FitCriterion, NnT};
 
 use crate::task::PredictionTask;

@@ -54,7 +54,7 @@ use datatrans_stats::rank::bootstrap_rank_confidence;
 
 use crate::cache::ResultCache;
 use crate::fingerprint::RequestFingerprint;
-use crate::model::{GaKnn, GaKnnConfig, MlpT, NnT, Predictor};
+use crate::model::{FitMemo, GaKnn, GaKnnConfig, MemoizedMlpT, MlpT, NnT, Predictor};
 use crate::ranking::Ranking;
 use crate::task::PredictionTask;
 use crate::CoreError;
@@ -547,15 +547,31 @@ impl ServeConfig {
     /// fan-out owns the cores. A model is an immutable configuration
     /// holder, so building one per request costs an allocation.
     pub fn build_model(&self, kind: ModelKind) -> Box<dyn Predictor + Send + Sync> {
+        self.model_for(kind, None)
+    }
+
+    /// [`ServeConfig::build_model`], with MLPᵀ taking its fits from
+    /// `fits` when given one.
+    fn model_for<'a>(
+        &self,
+        kind: ModelKind,
+        fits: Option<&'a FitMemo>,
+    ) -> Box<dyn Predictor + Send + Sync + 'a> {
         match kind {
             ModelKind::NnT => Box::new(NnT::default()),
-            ModelKind::MlpT => Box::new(MlpT {
-                config: MlpConfig {
-                    epochs: self.mlp_epochs,
-                    ..MlpConfig::weka_default(0)
-                },
-                ..MlpT::default()
-            }),
+            ModelKind::MlpT => {
+                let model = MlpT {
+                    config: MlpConfig {
+                        epochs: self.mlp_epochs,
+                        ..MlpConfig::weka_default(0)
+                    },
+                    ..MlpT::default()
+                };
+                match fits {
+                    Some(fits) => Box::new(MemoizedMlpT { model, fits }),
+                    None => Box::new(model),
+                }
+            }
             ModelKind::GaKnn => Box::new(GaKnn {
                 config: GaKnnConfig {
                     ga: GaConfig {
@@ -776,6 +792,16 @@ pub fn serve_one<D: DatabaseView + ?Sized>(
     request: &RankRequest,
     config: &ServeConfig,
 ) -> std::result::Result<RankResponse, ServeError> {
+    serve_one_with(view, request, config, None)
+}
+
+/// [`serve_one`], with MLPᵀ taking its fits from `fits` when given one.
+fn serve_one_with<D: DatabaseView + ?Sized>(
+    view: &D,
+    request: &RankRequest,
+    config: &ServeConfig,
+    fits: Option<&FitMemo>,
+) -> std::result::Result<RankResponse, ServeError> {
     validate_request(view, request)?;
     let plan = view.plan_machines(&request.restrict);
     let targets: Vec<usize> = plan
@@ -787,7 +813,7 @@ pub fn serve_one<D: DatabaseView + ?Sized>(
     if targets.is_empty() {
         return Err(ServeError::EmptyCandidates);
     }
-    let model = config.build_model(request.model);
+    let model = config.model_for(request.model, fits);
     let (targets, approx) = approx_filter(view, request, &*model, targets)?;
     if targets.is_empty() {
         // Unreachable by construction (the kept buckets each hold at
@@ -876,6 +902,16 @@ pub fn serve_batch<D: DatabaseView + ?Sized>(
     requests: &[RankRequest],
     config: &ServeConfig,
 ) -> Vec<std::result::Result<RankResponse, ServeError>> {
+    serve_batch_with(db, requests, config, None)
+}
+
+/// [`serve_batch`], with MLPᵀ taking its fits from `fits` when given one.
+fn serve_batch_with<D: DatabaseView + ?Sized>(
+    db: &D,
+    requests: &[RankRequest],
+    config: &ServeConfig,
+    fits: Option<&FitMemo>,
+) -> Vec<std::result::Result<RankResponse, ServeError>> {
     // `first[i]`: the first request the cache's rule counts as request
     // `i`; a request is distinct when that is itself.
     let mut seen: HashMap<RequestFingerprint, Vec<usize>> = HashMap::new();
@@ -898,8 +934,10 @@ pub fn serve_batch<D: DatabaseView + ?Sized>(
     let mut distinct: Vec<usize> = (0..requests.len()).filter(|&i| first[i] == i).collect();
     distinct.sort_by_key(|&i| dispatch_rank(&requests[i]));
     let evaluated = config.parallelism.par_map(2, &distinct, |&i| {
-        catch_unwind(AssertUnwindSafe(|| serve_one(db, &requests[i], config)))
-            .unwrap_or(Err(ServeError::Panicked))
+        catch_unwind(AssertUnwindSafe(|| {
+            serve_one_with(db, &requests[i], config, fits)
+        }))
+        .unwrap_or(Err(ServeError::Panicked))
     });
     let mut position = vec![0; requests.len()];
     for (p, &i) in distinct.iter().enumerate() {
@@ -946,6 +984,10 @@ pub struct CachedBatch {
     /// Entries dropped because the catalog version moved since the cache
     /// last served.
     pub invalidations: u64,
+    /// MLPᵀ fits this batch took from the cache's memo of fitted networks.
+    pub fits_reused: u64,
+    /// MLPᵀ fits this batch trained (and memoized).
+    pub fits_trained: u64,
 }
 
 /// Serves a batch through a [`ResultCache`]: syncs the cache with the
@@ -953,6 +995,13 @@ pub struct CachedBatch {
 /// cache, and evaluates the remaining misses through [`serve_batch`] —
 /// the same pooled path a cold batch takes — inserting each fresh
 /// response before returning.
+///
+/// The misses' MLPᵀ fits go through the cache's memo of fitted networks,
+/// which a version move keeps: a miss whose training inputs match, bit
+/// for bit, a network fitted for an earlier batch reuses that network
+/// instead of training it again. The memoized network is the one a fresh
+/// fit returns, so the response is too. The batch reports how many fits
+/// it reused and trained.
 ///
 /// A hit is **bitwise-identical** to evaluating the request cold:
 /// responses are stored verbatim, and every response is a deterministic
@@ -989,7 +1038,8 @@ pub fn serve_batch_cached<D: DatabaseView + ?Sized>(
     let misses = miss_indices.len() as u64;
     let miss_requests: Vec<RankRequest> =
         miss_indices.iter().map(|&i| requests[i].clone()).collect();
-    let fresh = serve_batch(db, &miss_requests, config);
+    let fresh = serve_batch_with(db, &miss_requests, config, Some(cache.fits()));
+    let (fits_reused, fits_trained) = cache.count_fits();
     for (&i, result) in miss_indices.iter().zip(fresh) {
         if let Ok(response) = &result {
             cache.insert(fingerprints[i], &requests[i], response);
@@ -1011,6 +1061,8 @@ pub fn serve_batch_cached<D: DatabaseView + ?Sized>(
         hits,
         misses,
         invalidations,
+        fits_reused,
+        fits_trained,
     }
 }
 

@@ -34,100 +34,28 @@
 //! [`BucketIndex::build`] returns, so which thread built it, and when,
 //! never shows in a served byte.
 
-use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use datatrans_linalg::Matrix;
 use datatrans_ml::pca::Pca;
+use datatrans_parallel::Memo;
 
 use crate::view::DatabaseView;
 use crate::{DatasetError, Result};
 
 /// Most indexes one [`BucketMemo`] holds. `(n_components, n_buckets)`
-/// arrives off the wire, so the memo is bounded; past the bound the
-/// oldest entry goes first.
+/// arrives off the wire, so the memo is bounded; past the bound the least
+/// recently used entry goes first.
 const MEMO_CAPACITY: usize = 8;
-
-/// One memoized build: empty until its first caller finishes building.
-type MemoCell = Arc<OnceLock<Result<Arc<BucketIndex>>>>;
 
 /// A backing's memo of built bucket indexes for its current catalog,
 /// keyed by `(n_components, n_buckets)` and holding at most
 /// [`MEMO_CAPACITY`] entries.
 ///
-/// The lock is held only to find or insert a key's cell; the build runs
-/// outside it, in the cell's [`OnceLock::get_or_init`]. A second caller
-/// of a key that is being built waits for that build instead of
-/// repeating it, and distinct keys build in parallel. A build error is
-/// memoized like an index (the same bytes give the same error); a build
-/// that panics leaves its cell empty for the next caller; a poisoned lock
-/// degrades to an unmemoized build.
-///
-/// The memo is a cache, not part of the catalog's value: a clone starts
-/// empty, equality ignores it, and `Debug` elides it.
-#[derive(Default)]
-pub(crate) struct BucketMemo {
-    entries: Mutex<Vec<((usize, usize), MemoCell)>>,
-}
-
-impl BucketMemo {
-    /// The index of `db` at `(n_components, n_buckets)`: the memoized one,
-    /// or a fresh [`BucketIndex::build`] that is memoized for the next
-    /// caller. `db` must be the catalog that owns this memo.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`BucketIndex::build`] returns for these parameters.
-    pub(crate) fn get_or_build<D: DatabaseView + ?Sized>(
-        &self,
-        db: &D,
-        n_components: usize,
-        n_buckets: usize,
-    ) -> Result<Arc<BucketIndex>> {
-        let build = || BucketIndex::build(db, n_components, n_buckets).map(Arc::new);
-        let key = (n_components, n_buckets);
-        let cell = {
-            let Ok(mut entries) = self.entries.lock() else {
-                return build();
-            };
-            match entries.iter().find(|(k, _)| *k == key) {
-                Some((_, cell)) => Arc::clone(cell),
-                None => {
-                    if entries.len() == MEMO_CAPACITY {
-                        entries.remove(0);
-                    }
-                    let cell = MemoCell::default();
-                    entries.push((key, Arc::clone(&cell)));
-                    cell
-                }
-            }
-        };
-        cell.get_or_init(build).clone()
-    }
-
-    /// Forgets every memoized index (the catalog changed).
-    pub(crate) fn clear(&mut self) {
-        *self = BucketMemo::default();
-    }
-}
-
-impl Clone for BucketMemo {
-    fn clone(&self) -> Self {
-        BucketMemo::default()
-    }
-}
-
-impl PartialEq for BucketMemo {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl fmt::Debug for BucketMemo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BucketMemo").finish_non_exhaustive()
-    }
-}
+/// A build error is memoized like an index: the same bytes give the same
+/// error. The backing's `push_machines` clears the memo, and the memo is
+/// not part of the catalog's value (see [`Memo`]).
+pub(crate) type BucketMemo = Memo<(usize, usize), Result<Arc<BucketIndex>>, MEMO_CAPACITY>;
 
 /// A fitted bucket index over one catalog version.
 #[derive(Debug, Clone, PartialEq)]
@@ -374,6 +302,7 @@ mod tests {
     use crate::database::{MachineIngest, PerfDatabase};
     use crate::generator::{generate, synthesize_ingest, DatasetConfig};
     use crate::sharded::ShardedPerfDatabase;
+    use std::fmt;
 
     fn db() -> PerfDatabase {
         generate(&DatasetConfig::default()).unwrap()
@@ -411,7 +340,8 @@ mod tests {
         assert_eq!(grown.n_machines(), 122);
         assert_same_bits(&grown, &BucketIndex::build(&db, 3, 8).unwrap());
 
-        // Past the cap the oldest key goes first; the newest stays.
+        // Past the cap the least recently used key goes first; the
+        // newest stays.
         let newest = (1..=MEMO_CAPACITY)
             .map(|b| db.bucket_index(1, b).unwrap())
             .last()
@@ -440,29 +370,6 @@ mod tests {
         let err = db.bucket_index(30, 4).unwrap_err();
         assert_eq!(db.bucket_index(30, 4).unwrap_err(), err);
         assert_eq!(BucketIndex::build(&db, 30, 4).unwrap_err(), err);
-    }
-
-    #[test]
-    fn concurrent_callers_of_one_key_share_one_build() {
-        let dense = db();
-        let sharded = ShardedPerfDatabase::from_dense(&dense, 8).unwrap();
-        let views: [&dyn DatabaseView; 2] = [&dense, &sharded];
-        for view in views {
-            let barrier = std::sync::Barrier::new(4);
-            let got: Vec<Arc<BucketIndex>> = std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..4)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            barrier.wait();
-                            view.bucket_index(2, 6).unwrap()
-                        })
-                    })
-                    .collect();
-                workers.into_iter().map(|w| w.join().unwrap()).collect()
-            });
-            assert!(got.iter().all(|index| Arc::ptr_eq(index, &got[0])));
-            assert_same_bits(&got[0], &BucketIndex::build(view, 2, 6).unwrap());
-        }
     }
 
     #[test]

@@ -527,7 +527,10 @@ impl DatabaseView for ShardedPerfDatabase {
     }
 
     fn bucket_index(&self, n_components: usize, n_buckets: usize) -> Result<Arc<BucketIndex>> {
-        self.bucket_memo.get_or_build(self, n_components, n_buckets)
+        self.bucket_memo
+            .get_or_build((n_components, n_buckets), |_| {
+                BucketIndex::build(self, n_components, n_buckets).map(Arc::new)
+            })
     }
 
     fn plan_machines(&self, filter: &MachineFilter) -> QueryPlan {

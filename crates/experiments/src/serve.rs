@@ -51,6 +51,10 @@ pub struct ServeResult {
     pub cache_misses: u64,
     /// Cache entries invalidated by catalog-version moves.
     pub cache_invalidations: u64,
+    /// MLPᵀ fits the cache's memo of fitted networks answered.
+    pub fits_reused: u64,
+    /// MLPᵀ fits trained through the cache's memo.
+    pub fits_trained: u64,
     /// Machines pushed by the ingest-interleaved mode (0 otherwise).
     pub ingested_machines: usize,
     /// Responses served through the approximate fast path (annex present).
@@ -156,10 +160,13 @@ pub fn run(config: &ExperimentConfig) -> Result<ServeResult> {
     let mut hits = 0;
     let mut misses = 0;
     let mut invalidations = 0;
+    let (mut fits_reused, mut fits_trained) = (0, 0);
     let mut absorb = |batch: &CachedBatch| {
         hits += batch.hits;
         misses += batch.misses;
         invalidations += batch.invalidations;
+        fits_reused += batch.fits_reused;
+        fits_trained += batch.fits_trained;
     };
     // The synthetic mix is valid by construction, so any per-slot error
     // is a driver bug worth surfacing as a hard failure.
@@ -209,6 +216,8 @@ pub fn run(config: &ExperimentConfig) -> Result<ServeResult> {
         cache_hits: hits,
         cache_misses: misses,
         cache_invalidations: invalidations,
+        fits_reused,
+        fits_trained,
         ingested_machines,
         approx_requests,
         machines_short_circuited,
@@ -267,8 +276,12 @@ impl fmt::Display for ServeResult {
         )?;
         write!(
             f,
-            "cache: {} hits, {} misses, {} invalidated",
-            self.cache_hits, self.cache_misses, self.cache_invalidations
+            "cache: {} hits, {} misses, {} invalidated; MLP^T fits: {} reused, {} trained",
+            self.cache_hits,
+            self.cache_misses,
+            self.cache_invalidations,
+            self.fits_reused,
+            self.fits_trained
         )?;
         if self.ingested_machines > 0 {
             write!(f, " (ingested {} machines)", self.ingested_machines)?;
@@ -340,7 +353,11 @@ mod tests {
         assert_eq!(result.cache_invalidations, 6);
         assert_eq!(result.ingested_machines, 8);
         let text = result.to_string();
-        assert!(text.contains("cache: 6 hits, 12 misses, 6 invalidated"));
+        // The two MLP^T requests train their networks cold; after the
+        // ingest both find their training inputs unchanged and reuse them.
+        assert_eq!((result.fits_reused, result.fits_trained), (2, 2));
+        assert!(text
+            .contains("cache: 6 hits, 12 misses, 6 invalidated; MLP^T fits: 2 reused, 2 trained"));
         assert!(text.contains("ingested 8 machines"));
     }
 

@@ -253,6 +253,11 @@ impl MlpRegressor {
         let (mut model, scaled_x, scaled_y) =
             Self::untrained(x, y, input_scaler, config, &mut rng)?;
         model.train(&scaled_x, &scaled_y, config, &mut rng);
+        // A fitted network only predicts, and may be kept for a long time
+        // (MLPᵀ's serving path memoizes fits), so it keeps no momentum.
+        for layer in &mut model.layers {
+            layer.drop_momentum();
+        }
         Ok(model)
     }
 
@@ -773,6 +778,18 @@ mod tests {
             &MlpConfig::weka_default(7),
             "served shape, 500 epochs",
         );
+    }
+
+    #[test]
+    fn a_fitted_network_keeps_no_momentum() {
+        let (x, y) = grid_xy();
+        let mut cfg = MlpConfig::weka_default(5);
+        cfg.epochs = 3;
+        let model = MlpRegressor::fit(&x, &y, &cfg).unwrap();
+        for layer in &model.layers {
+            assert!(layer.weight_velocity.is_empty() && layer.weight_velocity.capacity() == 0);
+            assert!(layer.bias_velocity.is_empty() && layer.bias_velocity.capacity() == 0);
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@ pub(crate) struct Layer {
     /// Row-major `(outputs × inputs)` weight matrix.
     pub weights: Vec<f64>,
     pub biases: Vec<f64>,
-    /// Momentum buffers, same layout as `weights` / `biases`.
+    /// Momentum buffers, same layout as `weights` / `biases`; empty once
+    /// a fit returns (see [`Layer::drop_momentum`]).
     pub weight_velocity: Vec<f64>,
     pub bias_velocity: Vec<f64>,
     pub inputs: usize,
@@ -41,6 +42,13 @@ impl Layer {
             outputs,
             activation,
         }
+    }
+
+    /// Frees the momentum buffers: training state that no forward pass
+    /// reads.
+    pub fn drop_momentum(&mut self) {
+        self.weight_velocity = Vec::new();
+        self.bias_velocity = Vec::new();
     }
 
     /// Forward pass for one sample, writing into `output`

@@ -130,6 +130,16 @@ impl MinMaxScaler {
         self.mins.len()
     }
 
+    /// The fitted per-feature minima and maxima, in feature order.
+    pub fn bounds(&self) -> (&[f64], &[f64]) {
+        (&self.mins, &self.maxs)
+    }
+
+    /// The output range `(lo, hi)` that features are scaled onto.
+    pub fn output_range(&self) -> (f64, f64) {
+        (self.lo, self.hi)
+    }
+
     /// Scales a single value of feature `j`.
     ///
     /// Values outside the training range extrapolate linearly; constant

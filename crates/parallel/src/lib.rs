@@ -59,6 +59,18 @@
 //!
 //! [`GaConfig`]: https://docs.rs/datatrans-ml
 //!
+//! # Memoizing shared builds
+//!
+//! [`Memo`] is the workspace's one memo primitive: a bounded map from keys
+//! to built values, least recently used evicted first, shared by the
+//! threads of a parallel map. Its lock is held only to find or insert a
+//! key's cell and the build runs outside it, so concurrent callers of one
+//! key share one build while distinct keys build in parallel. A build
+//! that panics leaves no entry. A backing's bucket-index memo and the
+//! result cache's memo of fitted MLPᵀ networks are two instances of it.
+//! The memoized value must be a pure function of its key, so whichever
+//! thread builds it, and when, never shows in a result.
+//!
 //! # Example
 //!
 //! ```
@@ -76,6 +88,10 @@
 // invariant that makes it sound.
 #[allow(unsafe_code)]
 mod pool;
+
+mod memo;
+
+pub use memo::Memo;
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -284,8 +284,7 @@ pub fn bootstrap_rank_confidence(
         for (slot, replicate) in column.iter_mut().zip(&kept) {
             *slot = extract(replicate);
         }
-        column.sort_by(f64::total_cmp);
-        (column[lo_idx], column[hi_idx])
+        order_statistics(&mut column, lo_idx, hi_idx)
     };
     for i in 0..n {
         let (score_lower, score_upper) = percentile_pair(&|rep| rep.0[i]);
@@ -308,6 +307,26 @@ pub fn bootstrap_rank_confidence(
         level,
         resamples,
     })
+}
+
+/// The `lo_idx`-th and `hi_idx`-th smallest values of `column` under
+/// [`f64::total_cmp`] (`lo_idx <= hi_idx < column.len()`), found by
+/// selection instead of a full sort; reorders `column`.
+///
+/// Values that `total_cmp` calls equal have equal bits, so an order
+/// statistic is one bit pattern however it is found: this returns what
+/// indexing the sorted column would.
+fn order_statistics(column: &mut [f64], lo_idx: usize, hi_idx: usize) -> (f64, f64) {
+    debug_assert!(lo_idx <= hi_idx && hi_idx < column.len());
+    let (_, &mut lo, above) = column.select_nth_unstable_by(lo_idx, f64::total_cmp);
+    let hi = if hi_idx == lo_idx {
+        lo
+    } else {
+        *above
+            .select_nth_unstable_by(hi_idx - lo_idx - 1, f64::total_cmp)
+            .1
+    };
+    (lo, hi)
 }
 
 /// Mean of a non-empty slice, accumulated in index order so the result is
@@ -365,6 +384,39 @@ fn ranks_impl(values: &[f64], descending: bool) -> Result<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The full-sort percentile pair that [`order_statistics`] replaced.
+    fn order_statistics_by_sort(column: &[f64], lo_idx: usize, hi_idx: usize) -> (f64, f64) {
+        let mut sorted = column.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        (sorted[lo_idx], sorted[hi_idx])
+    }
+
+    #[test]
+    fn order_statistics_match_the_full_sort_bitwise() {
+        // Few distinct values, so every column has ties; -0.0 and 0.0 are
+        // distinct under total_cmp and must come back with their sign.
+        let palette = [-0.0, 0.0, 1.5, -2.25, 1.5, 7.0, -0.0, 3.0e-300, 1.0];
+        let mut rng = StdRng::seed_from_u64(0x5E1EC7);
+        for len in 1..=40 {
+            for _ in 0..6 {
+                let column: Vec<f64> = (0..len)
+                    .map(|_| palette[rng.gen_range(0..palette.len())])
+                    .collect();
+                for lo_idx in 0..len {
+                    for hi_idx in lo_idx..len {
+                        let want = order_statistics_by_sort(&column, lo_idx, hi_idx);
+                        let got = order_statistics(&mut column.clone(), lo_idx, hi_idx);
+                        assert_eq!(
+                            (got.0.to_bits(), got.1.to_bits()),
+                            (want.0.to_bits(), want.1.to_bits()),
+                            "{column:?} at ({lo_idx}, {hi_idx})"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn ascending_no_ties() {

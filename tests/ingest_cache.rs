@@ -9,13 +9,16 @@
 //!   and pinned against drift by golden values;
 //! * cache hits are bitwise-identical to cold evaluation across thread
 //!   counts, backings, and batch orderings (including mixed hit/miss
-//!   batches), and a catalog-version move invalidates every entry.
+//!   batches), and a catalog-version move invalidates every entry;
+//! * the cache's memo of fitted MLPᵀ networks outlives a version move,
+//!   reuses a network exactly when its training inputs are unchanged,
+//!   and never changes a served byte.
 
 use datatrans::core::cache::ResultCache;
 use datatrans::core::fingerprint::RequestFingerprint;
 use datatrans::core::serve::{
-    serve_batch, serve_batch_cached, AppOfInterest, ConfidenceConfig, ModelKind, RankRequest,
-    RankResponse, ServeConfig, ServeError,
+    serve_batch, serve_batch_cached, AppOfInterest, ApproxConfig, ConfidenceConfig, ModelKind,
+    RankRequest, RankResponse, ServeConfig, ServeError,
 };
 use datatrans::dataset::database::{MachineIngest, PerfDatabase};
 use datatrans::dataset::generator::{
@@ -622,5 +625,168 @@ fn confidence_cache_hits_are_bitwise_identical_to_cold_evaluation() {
                 &format!("{what}: warm"),
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fitted MLPᵀ networks kept across catalog writes
+// ---------------------------------------------------------------------
+
+/// Machine `m` of `db` as an ingest entry: its metadata and score bits.
+fn copy_of(db: &dyn DatabaseView, m: usize) -> MachineIngest {
+    MachineIngest {
+        machine: db.machines()[m].clone(),
+        scores: (0..db.n_benchmarks()).map(|b| db.score(b, m)).collect(),
+    }
+}
+
+/// A mixed batch for the fit memo: NNᵀ, and MLPᵀ unrestricted, restricted
+/// to another family than machine `copied`, restricted to years, with a
+/// confidence annex, and approx (MLPᵀ and NNᵀ).
+fn fit_memo_mix(db: &dyn DatabaseView, copied: usize) -> Vec<RankRequest> {
+    let other_family = ProcessorFamily::ALL
+        .into_iter()
+        .find(|&f| f != db.machines()[copied].family)
+        .expect("a second family");
+    let request = |model, app, restrict, seed| RankRequest {
+        app: AppOfInterest::Suite(app),
+        model,
+        predictive: vec![3, 40, 77, 101],
+        restrict,
+        top_k: Some(8),
+        seed,
+        confidence: None,
+        approx: None,
+    };
+    let approx = Some(ApproxConfig {
+        n_components: 2,
+        n_buckets: 8,
+        probe_buckets: 3,
+    });
+    vec![
+        request(ModelKind::NnT, 2, MachineFilter::all(), 31),
+        request(ModelKind::MlpT, 5, MachineFilter::all(), 32),
+        request(ModelKind::MlpT, 9, MachineFilter::family(other_family), 33),
+        request(ModelKind::MlpT, 12, MachineFilter::years(2006, 2008), 34),
+        RankRequest {
+            confidence: Some(ConfidenceConfig {
+                repeats: 4,
+                resamples: 60,
+                ..ConfidenceConfig::default()
+            }),
+            ..request(ModelKind::MlpT, 5, MachineFilter::all(), 35)
+        },
+        RankRequest {
+            approx,
+            ..request(ModelKind::MlpT, 7, MachineFilter::all(), 36)
+        },
+        RankRequest {
+            approx,
+            ..request(ModelKind::NnT, 7, MachineFilter::all(), 37)
+        },
+    ]
+}
+
+/// The fit-memo contract on one backing at one thread count: after a push
+/// that moves no scaler bound every plain MLPᵀ request reuses its fit,
+/// after a push above every bound exactly the requests whose candidates
+/// include the new machine refit, and every slot equals a cold
+/// `serve_batch` on the grown catalog, bit for bit.
+fn check_fit_memo<D: DatabaseView>(
+    mut db: D,
+    push: fn(&mut D, &[MachineIngest]) -> Result<(), DatasetError>,
+    threads: usize,
+    what: &str,
+) {
+    let copied = 0;
+    let requests = fit_memo_mix(&db, copied);
+    let plain_mlpt: Vec<RankRequest> = requests
+        .iter()
+        .filter(|r| r.model == ModelKind::MlpT && r.approx.is_none())
+        .cloned()
+        .collect();
+    let config = quick_config(Parallelism::Threads(threads));
+    let mut cache = ResultCache::new(32);
+    let cold = serve_batch_cached(&db, &requests, &config, &mut cache);
+    ok_all(cold.responses, what);
+    assert_eq!(cold.fits_reused, 0, "{what}: nothing to reuse cold");
+    assert!(cold.fits_trained >= 5, "{what}: {} fits", cold.fits_trained);
+
+    // A copy of an existing machine moves no scaler bound: every plain
+    // MLPᵀ request keeps its training inputs, so it keeps its fit.
+    let copy = copy_of(&db, copied);
+    push(&mut db, &[copy]).expect("push the copy");
+    let reused = serve_batch_cached(&db, &plain_mlpt, &config, &mut cache);
+    assert_eq!(reused.invalidations, requests.len() as u64, "{what}");
+    assert_eq!(
+        (reused.fits_reused, reused.fits_trained),
+        (plain_mlpt.len() as u64, 0),
+        "{what}: after the copy"
+    );
+    let served = serve_batch_cached(&db, &requests, &config, &mut cache);
+    let expected = ok_all(serve_batch(&db, &requests, &config), what);
+    assert_responses_bitwise_eq(
+        &expected,
+        &ok_all(served.responses, what),
+        &format!("{what}: after the copy"),
+    );
+
+    // A machine above every benchmark's range widens the input scaler of
+    // exactly the requests whose candidates include it.
+    let above = MachineIngest {
+        machine: db.machines()[copied].clone(),
+        scores: (0..db.n_benchmarks())
+            .map(|b| 2.0 * db.benchmark_row_vec(b).into_iter().fold(0.0, f64::max))
+            .collect(),
+    };
+    push(&mut db, &[above]).expect("push above every bound");
+    let pushed = db.n_machines() - 1;
+    let mut refit = 0;
+    for request in &plain_mlpt {
+        let includes = db
+            .plan_machines(&request.restrict)
+            .machines
+            .contains(&pushed);
+        let one = serve_batch_cached(&db, std::slice::from_ref(request), &config, &mut cache);
+        let want = if includes { (0, 1) } else { (1, 0) };
+        assert_eq!(
+            (one.fits_reused, one.fits_trained),
+            want,
+            "{what}: request seed {} after the push above every bound",
+            request.seed
+        );
+        refit += usize::from(includes);
+    }
+    assert!(
+        refit > 0 && refit < plain_mlpt.len(),
+        "{what}: {refit} of {} refit; the mix must hold both kinds",
+        plain_mlpt.len()
+    );
+    let served = serve_batch_cached(&db, &requests, &config, &mut cache);
+    let expected = ok_all(serve_batch(&db, &requests, &config), what);
+    assert_responses_bitwise_eq(
+        &expected,
+        &ok_all(served.responses, what),
+        &format!("{what}: after the push above every bound"),
+    );
+}
+
+#[test]
+fn fitted_networks_survive_a_catalog_write_and_serve_the_same_bytes() {
+    let dense = generate(&DatasetConfig::default()).expect("dataset");
+    let sharded = ShardedPerfDatabase::from_dense(&dense, 8).expect("shardable");
+    for threads in [1, 4] {
+        check_fit_memo(
+            dense.clone(),
+            PerfDatabase::push_machines,
+            threads,
+            &format!("dense @ {threads} threads"),
+        );
+        check_fit_memo(
+            sharded.clone(),
+            ShardedPerfDatabase::push_machines,
+            threads,
+            &format!("sharded8 @ {threads} threads"),
+        );
     }
 }
