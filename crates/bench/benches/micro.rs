@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the numerical kernels underpinning the pipeline:
-//! the three predictors on one task, dataset generation, Spearman,
+//! the three predictors on one task, dataset generation (the paper
+//! catalog and the 1k-machine scale catalog), Spearman,
 //! k-medoids, MLP training, the GA-kNN fitness loop,
 //! top-k neighbour selection vs a full sort, the blocked GEMV kernel vs
 //! the scalar loop it replaced, the unrolled lane-tree kernels vs their
@@ -31,7 +32,9 @@ use datatrans_core::serve::{
     RankRequest, ServeConfig,
 };
 use datatrans_dataset::database::MachineIngest;
-use datatrans_dataset::generator::{generate, synthesize_ingest, DatasetConfig, NoiseConfig};
+use datatrans_dataset::generator::{
+    generate, generate_scaled, synthesize_ingest, DatasetConfig, NoiseConfig, ScaleConfig,
+};
 use datatrans_dataset::machine::ProcessorFamily;
 use datatrans_dataset::query::MachineFilter;
 use datatrans_dataset::sharded::ShardedPerfDatabase;
@@ -89,6 +92,14 @@ fn bench_substrates(c: &mut Criterion) {
     group.bench_function("dataset_generate_29x117", |b| {
         b.iter(|| {
             let db = generate(&DatasetConfig::default()).expect("generates");
+            std::hint::black_box(db.n_machines())
+        })
+    });
+    // The 1k-machine scale catalog both perfbench workloads build in
+    // their set-up: rows scored on the pool at `Parallelism::Auto`.
+    group.bench_function("dataset_generate_scaled_1000", |b| {
+        b.iter(|| {
+            let db = generate_scaled(&ScaleConfig::default()).expect("generates");
             std::hint::black_box(db.n_machines())
         })
     });

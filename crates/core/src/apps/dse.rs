@@ -13,7 +13,7 @@
 use datatrans_dataset::characteristics::WorkloadCharacteristics;
 use datatrans_dataset::database::PerfDatabase;
 use datatrans_dataset::microarch::MicroArch;
-use datatrans_dataset::perf_model::spec_ratio;
+use datatrans_dataset::perf_model::{execution_time_s, reference_time_s};
 use datatrans_linalg::Matrix;
 
 use crate::model::Predictor;
@@ -89,9 +89,17 @@ pub fn explore_designs(
     }
 
     let b = db.n_benchmarks();
+    // SPEC ratios, one reference-machine time per workload.
+    let suite_reference: Vec<f64> = db
+        .benchmarks()
+        .iter()
+        .map(|bench| reference_time_s(&bench.characteristics))
+        .collect();
+    let app_reference = reference_time_s(app);
     // "Simulate" the suite on every design point (the once-per-design cost).
     let train_target = Matrix::from_fn(b, designs.len(), |bench, d| {
-        spec_ratio(&designs[d], &db.benchmarks()[bench].characteristics)
+        suite_reference[bench]
+            / execution_time_s(&designs[d], &db.benchmarks()[bench].characteristics)
     });
     let train_predictive = Matrix::from_fn(b, predictive.len(), |bench, p| {
         db.score(bench, predictive[p])
@@ -99,7 +107,7 @@ pub fn explore_designs(
     // "Run" the workload on the user's real machines.
     let app_predictive: Vec<f64> = predictive
         .iter()
-        .map(|&m| spec_ratio(&db.machines()[m].micro, app))
+        .map(|&m| app_reference / execution_time_s(&db.machines()[m].micro, app))
         .collect();
 
     let mut train_characteristics = Matrix::zeros(b, WorkloadCharacteristics::MICA_DIMS);
@@ -119,7 +127,10 @@ pub fn explore_designs(
         seed,
     };
     let predicted = method.predict(&task)?;
-    let actual: Vec<f64> = designs.iter().map(|d| spec_ratio(d, app)).collect();
+    let actual: Vec<f64> = designs
+        .iter()
+        .map(|d| app_reference / execution_time_s(d, app))
+        .collect();
     let ranking = Ranking::from_scores(&predicted)?;
     Ok(DseOutcome {
         predicted,
@@ -153,6 +164,7 @@ mod tests {
     use crate::model::MlpT;
     use datatrans_dataset::catalog::nickname_specs;
     use datatrans_dataset::generator::{generate, DatasetConfig};
+    use datatrans_dataset::perf_model::spec_ratio;
     use datatrans_dataset::workload_synth::{synthesize, WorkloadProfile};
 
     fn base_design() -> MicroArch {
@@ -181,6 +193,10 @@ mod tests {
             explore_designs(&db, &app, &designs, &predictive, &MlpT::default(), 2).unwrap();
         assert_eq!(outcome.predicted.len(), 9);
         assert_eq!(outcome.actual.len(), 9);
+        // The oracle is the model's SPEC ratio, bit for bit.
+        for (d, actual) in designs.iter().zip(&outcome.actual) {
+            assert_eq!(actual.to_bits(), spec_ratio(d, &app).to_bits());
+        }
         // Prediction-driven choice should land close to the oracle best.
         assert!(
             outcome.top1_deficiency_pct() < 30.0,

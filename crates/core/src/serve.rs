@@ -83,6 +83,17 @@ pub enum ServeError {
         /// The catalog's benchmark count (exclusive bound).
         bound: usize,
     },
+    /// An [`AppOfInterest::External`] characteristic outside its domain
+    /// (see [`WorkloadCharacteristics::out_of_domain`]). The performance
+    /// model is not defined there, so the app cannot be "run" on the
+    /// predictive machines.
+    InvalidApp {
+        /// The first offending field, named as in
+        /// [`WorkloadCharacteristics`].
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
     /// The request names no predictive machines, so no model can train.
     EmptyPredictiveSet,
     /// A predictive machine index at or past the machine count.
@@ -151,6 +162,12 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::UnknownBenchmark { index, bound } => {
                 write!(f, "unknown benchmark row {index} (catalog has {bound})")
+            }
+            ServeError::InvalidApp { field, value } => {
+                write!(
+                    f,
+                    "external app characteristic {field} out of domain: {value}"
+                )
             }
             ServeError::EmptyPredictiveSet => {
                 write!(f, "request names no predictive machines")
@@ -593,13 +610,19 @@ fn validate_request<D: DatabaseView + ?Sized>(
     view: &D,
     request: &RankRequest,
 ) -> std::result::Result<(), ServeError> {
-    if let AppOfInterest::Suite(row) = request.app {
-        if row >= view.n_benchmarks() {
+    match &request.app {
+        AppOfInterest::Suite(row) if *row >= view.n_benchmarks() => {
             return Err(ServeError::UnknownBenchmark {
-                index: row,
+                index: *row,
                 bound: view.n_benchmarks(),
             });
         }
+        AppOfInterest::External(app) => {
+            if let Some((field, value)) = app.out_of_domain() {
+                return Err(ServeError::InvalidApp { field, value });
+            }
+        }
+        AppOfInterest::Suite(_) => {}
     }
     if request.predictive.is_empty() {
         return Err(ServeError::EmptyPredictiveSet);
@@ -1276,6 +1299,49 @@ mod tests {
                 bound: 29
             })
         );
+    }
+
+    #[test]
+    fn out_of_domain_external_app_is_a_typed_error() {
+        let db = generate(&DatasetConfig::default()).unwrap();
+        let mut app = synthesize(WorkloadProfile::Streaming, 1);
+        app.stream_fraction = -5.0;
+        for model in [ModelKind::NnT, ModelKind::MlpT, ModelKind::GaKnn] {
+            let request = RankRequest {
+                app: AppOfInterest::External(app),
+                model,
+                ..base_request()
+            };
+            assert_eq!(
+                serve_one(&db, &request, &quick()),
+                Err(ServeError::InvalidApp {
+                    field: "stream_fraction",
+                    value: -5.0
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn every_synthesized_and_spec_app_is_in_domain() {
+        // perfbench, the experiments and the examples send synthesized
+        // external apps: refusing one would fail a request that serves.
+        let db = generate(&DatasetConfig::default()).unwrap();
+        let seeds =
+            (0..2_000u64).chain((1..=2_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+        let synthesized = seeds.flat_map(|seed| {
+            WorkloadProfile::ALL
+                .into_iter()
+                .map(move |profile| synthesize(profile, seed))
+        });
+        let suite = db.benchmarks().iter().map(|b| b.characteristics);
+        for app in suite.chain(synthesized) {
+            let request = RankRequest {
+                app: AppOfInterest::External(app),
+                ..base_request()
+            };
+            assert_eq!(validate_request(&db, &request), Ok(()), "{app:?}");
+        }
     }
 
     #[test]

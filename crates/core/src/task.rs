@@ -13,7 +13,7 @@
 //! baseline consumes (data transposition itself needs no profiling).
 
 use datatrans_dataset::characteristics::WorkloadCharacteristics;
-use datatrans_dataset::perf_model::spec_ratio;
+use datatrans_dataset::perf_model::{execution_time_s, reference_time_s};
 use datatrans_dataset::view::DatabaseView;
 use datatrans_linalg::Matrix;
 
@@ -176,7 +176,8 @@ impl PredictionTask {
     /// The one constructor behind every task: training rows (every benchmark,
     /// minus the app's own row for a suite app), the predictive side
     /// gathered from the backing, the app's side (its stored scores, or
-    /// [`spec_ratio`] on each predictive machine for an external app) and
+    /// its [`spec_ratio`](datatrans_dataset::perf_model::spec_ratio) on
+    /// each predictive machine for an external app) and
     /// the characteristics. `target` builds the target side from the
     /// training rows: a gather of the target machines for an exact task,
     /// bucket centroid columns for the approximate path's coarse task.
@@ -208,13 +209,16 @@ impl PredictionTask {
                 db.benchmarks()[*app].characteristics.to_mica_vector(),
             ),
             // "Run" the app on the predictive machines the user owns.
-            AppOfInterest::External(app) => (
-                predictive
-                    .iter()
-                    .map(|&m| spec_ratio(&db.machines()[m].micro, app))
-                    .collect(),
-                app.to_mica_vector(),
-            ),
+            AppOfInterest::External(app) => {
+                let reference = reference_time_s(app);
+                (
+                    predictive
+                        .iter()
+                        .map(|&m| reference / execution_time_s(&db.machines()[m].micro, app))
+                        .collect(),
+                    app.to_mica_vector(),
+                )
+            }
         };
         let task = PredictionTask {
             train_predictive,
@@ -363,6 +367,11 @@ mod tests {
         assert_eq!(task.n_benchmarks(), 29); // full suite trains
         assert_eq!(task.app_predictive.len(), predictive.len());
         assert!(task.app_predictive.iter().all(|s| *s > 0.0));
+        // The app's side is its SPEC ratio on each machine, bit for bit.
+        for (&score, &m) in task.app_predictive.iter().zip(&predictive) {
+            let ratio = datatrans_dataset::perf_model::spec_ratio(&db.machines()[m].micro, &app);
+            assert_eq!(score.to_bits(), ratio.to_bits());
+        }
     }
 
     #[test]

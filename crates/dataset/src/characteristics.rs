@@ -10,6 +10,8 @@
 ///
 /// All fractions are in `[0, 1]`; working sets are in MiB; the dynamic
 /// instruction count is in units of 10⁹ instructions.
+/// [`WorkloadCharacteristics::out_of_domain`] checks every field against
+/// its domain.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadCharacteristics {
     /// Dynamic instruction count, ×10⁹.
@@ -109,26 +111,67 @@ impl WorkloadCharacteristics {
         ]
     }
 
-    /// Validates ranges; used by the workload synthesizer and tests.
-    pub fn is_plausible(&self) -> bool {
-        let fractions_ok = [
-            self.fp_fraction,
-            self.mem_fraction,
-            self.branch_fraction,
-            self.stream_fraction,
-            self.regularity,
+    /// The first field (in declaration order) outside its domain, with its
+    /// value, or `None` when every field is in its domain.
+    ///
+    /// The domains: the instruction count, ILP, working set and locality
+    /// exponent are positive; the four fractions, the mispredict rate and
+    /// regularity lie in `[0, 1]`; the bandwidth demand is at least 0 and
+    /// the MLP at least 1. Every field must be finite, so a NaN or an
+    /// infinity is outside every domain. The performance model is defined
+    /// on these domains only, which is why serving refuses an external app
+    /// outside them.
+    pub fn out_of_domain(&self) -> Option<(&'static str, f64)> {
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        let unit = |v: f64| (0.0..=1.0).contains(&v);
+        [
+            ("instr_e9", self.instr_e9, positive(self.instr_e9)),
+            ("ilp", self.ilp, positive(self.ilp)),
+            ("fp_fraction", self.fp_fraction, unit(self.fp_fraction)),
+            ("mem_fraction", self.mem_fraction, unit(self.mem_fraction)),
+            (
+                "branch_fraction",
+                self.branch_fraction,
+                unit(self.branch_fraction),
+            ),
+            (
+                "mispredict_rate",
+                self.mispredict_rate,
+                unit(self.mispredict_rate),
+            ),
+            (
+                "working_set_mib",
+                self.working_set_mib,
+                positive(self.working_set_mib),
+            ),
+            (
+                "stream_fraction",
+                self.stream_fraction,
+                unit(self.stream_fraction),
+            ),
+            (
+                "locality_alpha",
+                self.locality_alpha,
+                positive(self.locality_alpha),
+            ),
+            (
+                "bandwidth_demand",
+                self.bandwidth_demand,
+                self.bandwidth_demand.is_finite() && self.bandwidth_demand >= 0.0,
+            ),
+            ("mlp", self.mlp, self.mlp.is_finite() && self.mlp >= 1.0),
+            ("regularity", self.regularity, unit(self.regularity)),
         ]
-        .iter()
-        .all(|f| (0.0..=1.0).contains(f));
-        fractions_ok
-            && self.instr_e9 > 0.0
-            && self.ilp >= 0.5
-            && self.mispredict_rate >= 0.0
-            && self.mispredict_rate <= 0.5
-            && self.working_set_mib > 0.0
-            && self.locality_alpha > 0.0
-            && self.bandwidth_demand >= 0.0
-            && self.mlp >= 1.0
+        .into_iter()
+        .find(|&(_, _, in_domain)| !in_domain)
+        .map(|(field, value, _)| (field, value))
+    }
+
+    /// Validates ranges; used by the workload synthesizer and tests. The
+    /// synthesizer's ranges are narrower than [`Self::out_of_domain`]'s:
+    /// ILP at least 0.5 and at most 0.5 mispredictions per branch.
+    pub fn is_plausible(&self) -> bool {
+        self.out_of_domain().is_none() && self.ilp >= 0.5 && self.mispredict_rate <= 0.5
     }
 }
 
@@ -182,5 +225,57 @@ mod tests {
         let mut bad = sample();
         bad.working_set_mib = 0.0;
         assert!(!bad.is_plausible());
+        let mut bad = sample();
+        bad.ilp = 0.4;
+        assert!(bad.out_of_domain().is_none() && !bad.is_plausible());
+    }
+
+    #[test]
+    fn out_of_domain_names_the_first_offending_field() {
+        assert_eq!(sample().out_of_domain(), None);
+        type Edit = fn(&mut WorkloadCharacteristics);
+        let cases: [(Edit, &str, f64); 13] = [
+            (|w| w.instr_e9 = 0.0, "instr_e9", 0.0),
+            (|w| w.ilp = -1.0, "ilp", -1.0),
+            (|w| w.fp_fraction = 1.5, "fp_fraction", 1.5),
+            (|w| w.mem_fraction = -0.1, "mem_fraction", -0.1),
+            (|w| w.branch_fraction = 2.0, "branch_fraction", 2.0),
+            (|w| w.mispredict_rate = 1.01, "mispredict_rate", 1.01),
+            (|w| w.working_set_mib = -3.0, "working_set_mib", -3.0),
+            (|w| w.stream_fraction = -5.0, "stream_fraction", -5.0),
+            (|w| w.locality_alpha = 0.0, "locality_alpha", 0.0),
+            (|w| w.bandwidth_demand = -0.5, "bandwidth_demand", -0.5),
+            (|w| w.mlp = 0.99, "mlp", 0.99),
+            (|w| w.regularity = 1e300, "regularity", 1e300),
+            (|w| w.instr_e9 = f64::INFINITY, "instr_e9", f64::INFINITY),
+        ];
+        for (edit, field, value) in cases {
+            let mut w = sample();
+            edit(&mut w);
+            assert_eq!(w.out_of_domain(), Some((field, value)));
+        }
+        let mut nan = sample();
+        nan.mlp = f64::NAN;
+        assert_eq!(nan.out_of_domain().map(|(field, _)| field), Some("mlp"));
+        // The edges of each domain are inside it.
+        let edges = WorkloadCharacteristics {
+            fp_fraction: 0.0,
+            mem_fraction: 1.0,
+            mispredict_rate: 1.0,
+            stream_fraction: 0.0,
+            bandwidth_demand: 0.0,
+            mlp: 1.0,
+            regularity: 1.0,
+            ..sample()
+        };
+        assert_eq!(edges.out_of_domain(), None);
+        // Several bad fields: the first in declaration order is named.
+        let zeros = WorkloadCharacteristics {
+            instr_e9: 0.0,
+            ilp: 0.0,
+            working_set_mib: 0.0,
+            ..sample()
+        };
+        assert_eq!(zeros.out_of_domain(), Some(("instr_e9", 0.0)));
     }
 }

@@ -1,13 +1,18 @@
 //! Deterministic assembly of the full performance database.
 
+use std::sync::Mutex;
+
+use datatrans_parallel::Parallelism;
 use datatrans_rng::rngs::StdRng;
-use datatrans_rng::{Rng, SeedableRng};
+use datatrans_rng::{Rng, RngCore, SeedableRng};
 
 use crate::benchmark::{spec_cpu2006, Benchmark};
 use crate::catalog::{build_machines, build_scaled_machines};
+use crate::characteristics::WorkloadCharacteristics;
 use crate::database::{MachineIngest, PerfDatabase};
 use crate::machine::Machine;
-use crate::perf_model::spec_ratio;
+use crate::microarch::MicroArch;
+use crate::perf_model::{execution_time_s, reference_time_s};
 use crate::view::DatabaseView;
 use crate::{DatasetError, Result};
 
@@ -49,11 +54,29 @@ impl DatasetConfig {
     }
 }
 
-/// Standard normal sample via Box–Muller.
+/// Standard normal sample via Box–Muller. Takes exactly
+/// [`WORDS_PER_GAUSSIAN`] words from `rng`.
 fn gaussian(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Raw `next_u64` words one [`gaussian`] draw consumes (one per uniform).
+const WORDS_PER_GAUSSIAN: usize = 2;
+
+/// One measured score: the model's ratio `reference / execution_time_s(m,
+/// w)` (the bits of [`crate::perf_model::spec_ratio`] when `reference` is
+/// [`reference_time_s`]`(w)`) under multiplicative lognormal noise drawn
+/// from `rng`.
+fn noisy_score(
+    reference: f64,
+    m: &MicroArch,
+    w: &WorkloadCharacteristics,
+    noise_sigma: f64,
+    rng: &mut StdRng,
+) -> f64 {
+    reference / execution_time_s(m, w) * (noise_sigma * gaussian(rng)).exp()
 }
 
 /// Generates the complete 29 × 117 performance database.
@@ -82,27 +105,61 @@ pub fn generate(config: &DatasetConfig) -> Result<PerfDatabase> {
     config.validate()?;
     let benchmarks = spec_cpu2006();
     let machines = build_machines(config.seed);
-    score_catalog(benchmarks, machines, config.seed, config.noise_sigma)
+    score_catalog(
+        benchmarks,
+        machines,
+        config.seed,
+        config.noise_sigma,
+        Parallelism::Auto,
+    )
 }
 
 /// Evaluates the CPI-stack model over `benchmarks × machines` and applies
 /// multiplicative lognormal measurement noise — the shared scoring tail of
-/// [`generate`] and [`generate_scaled`].
+/// [`generate`] and [`generate_scaled`], one benchmark row per parallel
+/// item.
+///
+/// The catalog draws its noise from one stream seeded by `seed`, cell
+/// after cell in row-major order. A sequential pre-pass steps that stream
+/// past each row's draws and keeps a copy of it at the start of every row,
+/// so each row scores from its own checkpoint on any worker, and every
+/// score has the bits of the one-stream sequential loop at any thread
+/// count. Each row evaluates the reference machine once.
 fn score_catalog(
     benchmarks: Vec<Benchmark>,
     machines: Vec<Machine>,
     seed: u64,
     noise_sigma: f64,
+    parallelism: Parallelism,
 ) -> Result<PerfDatabase> {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xA24B_AED4_963E_E407));
-    let mut scores = Vec::with_capacity(benchmarks.len() * machines.len());
-    for b in &benchmarks {
-        for m in &machines {
-            let clean = spec_ratio(&m.micro, &b.characteristics);
-            let noisy = clean * (noise_sigma * gaussian(&mut rng)).exp();
-            scores.push(noisy);
+    let checkpoints: Vec<StdRng> = benchmarks
+        .iter()
+        .map(|_| {
+            let start = rng.clone();
+            for _ in 0..WORDS_PER_GAUSSIAN * machines.len() {
+                rng.next_u64();
+            }
+            start
+        })
+        .collect();
+    let mut scores = vec![0.0; benchmarks.len() * machines.len()];
+    // One slot per row; each item locks only its own, so the locks are
+    // uncontended and exist to hand a worker its `&mut` row.
+    let rows: Vec<Mutex<&mut [f64]>> = scores
+        .chunks_mut(machines.len().max(1))
+        .map(Mutex::new)
+        .collect();
+    parallelism.par_map_indexed(1, rows.len(), |b| {
+        let w = &benchmarks[b].characteristics;
+        let reference = reference_time_s(w);
+        let mut rng = checkpoints[b].clone();
+        let mut row = rows[b].lock().expect("private score row");
+        for (score, m) in row.iter_mut().zip(&machines) {
+            *score = noisy_score(reference, &m.micro, w, noise_sigma, &mut rng);
         }
-    }
+    });
+    drop(rows);
     PerfDatabase::new(benchmarks, machines, scores)
 }
 
@@ -199,7 +256,13 @@ pub fn generate_scaled(config: &ScaleConfig) -> Result<PerfDatabase> {
     config.validate()?;
     let benchmarks = crate::workload_synth::synthesize_suite(config.n_benchmarks, config.seed);
     let machines = build_scaled_machines(config.seed, config.n_machines);
-    score_catalog(benchmarks, machines, config.seed, config.noise_sigma)
+    score_catalog(
+        benchmarks,
+        machines,
+        config.seed,
+        config.noise_sigma,
+        Parallelism::Auto,
+    )
 }
 
 /// Synthesizes a streaming-ingest batch of `n_machines` scored machines
@@ -248,6 +311,10 @@ pub fn synthesize_ingest(
         return Err(DatasetError::Empty { what: "benchmarks" });
     }
     let machines = build_scaled_machines(seed ^ 0x1A6E_57ED, n_machines);
+    let references: Vec<f64> = benchmarks
+        .iter()
+        .map(|b| reference_time_s(&b.characteristics))
+        .collect();
     Ok(machines
         .into_iter()
         .enumerate()
@@ -258,9 +325,15 @@ pub fn synthesize_ingest(
             );
             let scores = benchmarks
                 .iter()
-                .map(|b| {
-                    spec_ratio(&machine.micro, &b.characteristics)
-                        * (noise_sigma * gaussian(&mut rng)).exp()
+                .zip(&references)
+                .map(|(b, &reference)| {
+                    noisy_score(
+                        reference,
+                        &machine.micro,
+                        &b.characteristics,
+                        noise_sigma,
+                        &mut rng,
+                    )
                 })
                 .collect();
             MachineIngest { machine, scores }
@@ -424,6 +497,145 @@ pub fn perturb_database(db: &PerfDatabase, noise: &NoiseConfig) -> Result<PerfDa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf_model::spec_ratio;
+    use crate::workload_synth::synthesize_suite;
+
+    /// The per-cell loop the row scorer replaced: one noise stream stepped
+    /// cell after cell on one thread, the reference machine evaluated for
+    /// every cell.
+    fn score_cells_reference(
+        benchmarks: &[Benchmark],
+        machines: &[Machine],
+        seed: u64,
+        noise_sigma: f64,
+    ) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xA24B_AED4_963E_E407));
+        let mut scores = Vec::with_capacity(benchmarks.len() * machines.len());
+        for b in benchmarks {
+            for m in machines {
+                let clean = spec_ratio(&m.micro, &b.characteristics);
+                scores.push(clean * (noise_sigma * gaussian(&mut rng)).exp());
+            }
+        }
+        scores
+    }
+
+    /// The per-entry loop `synthesize_ingest` ran before its reference
+    /// times were hoisted out of it.
+    fn ingest_reference(
+        seed: u64,
+        benchmarks: &[Benchmark],
+        n_machines: usize,
+        noise_sigma: f64,
+    ) -> Vec<MachineIngest> {
+        build_scaled_machines(seed ^ 0x1A6E_57ED, n_machines)
+            .into_iter()
+            .enumerate()
+            .map(|(i, machine)| {
+                let mut rng = StdRng::seed_from_u64(
+                    seed.wrapping_mul(0xA24B_AED4_963E_E407)
+                        .wrapping_add(i as u64),
+                );
+                let scores = benchmarks
+                    .iter()
+                    .map(|b| {
+                        spec_ratio(&machine.micro, &b.characteristics)
+                            * (noise_sigma * gaussian(&mut rng)).exp()
+                    })
+                    .collect();
+                MachineIngest { machine, scores }
+            })
+            .collect()
+    }
+
+    fn all_scores(db: &PerfDatabase) -> Vec<f64> {
+        (0..db.n_benchmarks())
+            .flat_map(|b| db.benchmark_row(b).to_vec())
+            .collect()
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: score count");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: cell {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn a_gaussian_draw_takes_its_declared_words() {
+        let mut drawn = StdRng::seed_from_u64(3);
+        let mut stepped = drawn.clone();
+        for _ in 0..100 {
+            gaussian(&mut drawn);
+            for _ in 0..WORDS_PER_GAUSSIAN {
+                stepped.next_u64();
+            }
+            assert_eq!(drawn, stepped);
+        }
+    }
+
+    #[test]
+    fn paper_catalog_scores_match_the_per_cell_loop_bitwise() {
+        let config = DatasetConfig::default();
+        let db = generate(&config).unwrap();
+        let want = score_cells_reference(
+            &spec_cpu2006(),
+            &build_machines(config.seed),
+            config.seed,
+            config.noise_sigma,
+        );
+        assert_same_bits(&all_scores(&db), &want, "generate");
+    }
+
+    #[test]
+    fn scaled_catalog_scores_match_the_per_cell_loop_at_any_thread_count() {
+        // The shipped 1k-machine catalog, and a small one whose 31 rows
+        // are a multiple of neither 2 nor 4 workers.
+        let small = ScaleConfig {
+            seed: 0xB17_F0B,
+            noise_sigma: 0.02,
+            n_machines: 45,
+            n_benchmarks: 31,
+        };
+        for config in [ScaleConfig::default(), small] {
+            let benchmarks = synthesize_suite(config.n_benchmarks, config.seed);
+            let machines = build_scaled_machines(config.seed, config.n_machines);
+            let want =
+                score_cells_reference(&benchmarks, &machines, config.seed, config.noise_sigma);
+            let what = format!("{} x {}", config.n_benchmarks, config.n_machines);
+            let db = generate_scaled(&config).unwrap();
+            assert_same_bits(&all_scores(&db), &want, &format!("generate_scaled {what}"));
+            for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
+                let db = score_catalog(
+                    benchmarks.clone(),
+                    machines.clone(),
+                    config.seed,
+                    config.noise_sigma,
+                    parallelism,
+                )
+                .unwrap();
+                assert_same_bits(
+                    &all_scores(&db),
+                    &want,
+                    &format!("{what} at {parallelism:?}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ingest_scores_match_the_per_entry_loop_bitwise() {
+        let db = generate(&DatasetConfig::default()).unwrap();
+        for (seed, n) in [(9, 6), (0xFEED, 17)] {
+            let got = synthesize_ingest(seed, db.benchmarks(), n, 0.015).unwrap();
+            let want = ingest_reference(seed, db.benchmarks(), n, 0.015);
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.machine, w.machine);
+                assert_same_bits(&g.scores, &w.scores, &format!("ingest seed {seed}"));
+            }
+        }
+    }
 
     #[test]
     fn deterministic_given_seed() {

@@ -18,9 +18,11 @@
 //!   workload) pairs into execution times, and SPEC-style speed ratios
 //!   against a modeled SUN Ultra5 296 MHz reference.
 //! * [`generator`] — deterministic, seeded assembly of the full
-//!   [`database::PerfDatabase`], with measurement noise, plus synthesis of
-//!   streaming-ingest batches ([`generator::synthesize_ingest`]) appended
-//!   through [`database::PerfDatabase::push_machines`] /
+//!   [`database::PerfDatabase`], with measurement noise (benchmark rows
+//!   scored on the worker pool, the same bits at any thread count), plus
+//!   synthesis of streaming-ingest batches
+//!   ([`generator::synthesize_ingest`]) appended through
+//!   [`database::PerfDatabase::push_machines`] /
 //!   [`sharded::ShardedPerfDatabase::push_machines`] under a
 //!   monotonically increasing catalog version.
 //! * [`workload_synth`] — synthesis of *applications of interest* that are

@@ -133,11 +133,20 @@ pub fn execution_time_s(m: &MicroArch, w: &WorkloadCharacteristics) -> f64 {
     w.instr_e9 * compiler_factor(m, w) * cpi / m.freq_ghz
 }
 
+/// Execution time of `w` on the modeled Ultra5 reference machine in
+/// seconds: the numerator of every [`spec_ratio`] of `w`.
+///
+/// Code that maps ratios of one workload over many machines computes it
+/// once and divides by each [`execution_time_s`], which gives the same bits
+/// as calling [`spec_ratio`] per machine.
+pub fn reference_time_s(w: &WorkloadCharacteristics) -> f64 {
+    execution_time_s(&MicroArch::ultra5_reference(), w)
+}
+
 /// SPEC-style speed ratio of `w` on `m`: reference time / machine time,
 /// with the modeled Ultra5 as the reference machine.
 pub fn spec_ratio(m: &MicroArch, w: &WorkloadCharacteristics) -> f64 {
-    let reference = MicroArch::ultra5_reference();
-    execution_time_s(&reference, w) / execution_time_s(m, w)
+    reference_time_s(w) / execution_time_s(m, w)
 }
 
 #[cfg(test)]

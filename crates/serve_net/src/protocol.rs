@@ -611,6 +611,7 @@ pub fn write_request(request: &RankRequest) -> String {
 pub fn serve_error_code(error: &ServeError) -> &'static str {
     match error {
         ServeError::UnknownBenchmark { .. } => "unknown-benchmark",
+        ServeError::InvalidApp { .. } => "invalid-app",
         ServeError::EmptyPredictiveSet => "empty-predictive",
         ServeError::PredictiveOutOfRange { .. } => "predictive-out-of-range",
         ServeError::DuplicatePredictive { .. } => "duplicate-predictive",

@@ -637,6 +637,7 @@ mod tests {
     use super::*;
     use crate::protocol::write_request;
     use datatrans_core::serve::{AppOfInterest, ModelKind};
+    use datatrans_dataset::benchmark::spec_cpu2006;
     use datatrans_dataset::generator::{generate, DatasetConfig};
     use datatrans_dataset::query::MachineFilter;
     use std::io::BufRead;
@@ -884,6 +885,12 @@ mod tests {
         bad.predictive = vec![0, 30, 0];
         let err = request_line(&mut reader, &mut stream, &write_request(&bad));
         assert!(err.starts_with("err duplicate-predictive "), "got: {err}");
+        let mut bad = sample_request(0);
+        let mut app = spec_cpu2006()[0].characteristics;
+        app.working_set_mib = -1.0;
+        bad.app = AppOfInterest::External(app);
+        let err = request_line(&mut reader, &mut stream, &write_request(&bad));
+        assert!(err.starts_with("err invalid-app "), "got: {err}");
         drop((reader, stream));
         server.join();
     }

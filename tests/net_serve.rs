@@ -12,6 +12,8 @@
 //!   non-UTF-8, huge `top_k`, unknown model names) gets exactly one
 //!   typed line back per line sent, and a valid request afterwards still
 //!   serves byte-identically;
+//! * an external app outside the performance model's domain gets
+//!   `err invalid-app` naming the field, never a ranking;
 //! * a request that panics the serving pass fails only its own line, as
 //!   `err invariant`, without being evaluated a second time, and the
 //!   server keeps serving;
@@ -207,6 +209,32 @@ fn wire_bytes_identical_across_explicit_thread_counts_and_backings() {
     );
 }
 
+/// External apps outside the performance model's domain, each with the
+/// field its refusal names. Before serving validated external apps, the
+/// first two were ranked as if nothing were wrong and the last two failed
+/// deep inside evaluation (`scores contain NaN/inf`).
+const OUT_OF_DOMAIN_APPS: [(&str, &str); 4] = [
+    (
+        "rank model=nnt app=external:1200,1.8,0.02,0.33,0.2,0.08,-30,0.07,0.42,1.5,1.4,0.18 \
+         predictive=0,30,60",
+        "working_set_mib",
+    ),
+    (
+        "rank model=mlpt app=external:1200,1.8,0.02,0.33,0.2,0.08,30,-5,0.42,1.5,1.4,0.18 \
+         predictive=0,30,60",
+        "stream_fraction",
+    ),
+    (
+        "rank model=gaknn app=external:0,0,0,0,0,0,0,0,0,0,0,0 predictive=0,30,60",
+        "instr_e9",
+    ),
+    (
+        "rank model=nnt app=external:1e300,1e300,1e300,1e300,1e300,1e300,1e300,1e300,1e300,\
+         1e300,1e300,1e300 predictive=0,30,60",
+        "fp_fraction",
+    ),
+];
+
 /// Builds the seeded fuzz corpus: hostile fixed cases plus random
 /// mutations. Every entry is newline-free so it travels as one line.
 fn fuzz_corpus(seed: u64) -> Vec<Vec<u8>> {
@@ -261,6 +289,8 @@ fn fuzz_corpus(seed: u64) -> Vec<Vec<u8>> {
         )
         .into_bytes(),
     ];
+    // External apps outside the model's domain: typed invalid-app errors.
+    corpus.extend(OUT_OF_DOMAIN_APPS.map(|(line, _)| line.as_bytes().to_vec()));
     let valid = write_request(&RankRequest {
         app: AppOfInterest::Suite(1),
         model: ModelKind::NnT,
@@ -340,6 +370,16 @@ fn fuzzed_lines_each_get_one_typed_line_and_never_kill_the_connection() {
             ),
         }
         assert!(!response.is_empty());
+        if let Some((_, field)) = OUT_OF_DOMAIN_APPS
+            .iter()
+            .find(|(app, _)| app.as_bytes() == line.as_slice())
+        {
+            let refusal = format!("err invalid-app external app characteristic {field} ");
+            assert!(
+                response.starts_with(&refusal),
+                "corpus line {i}: {response}"
+            );
+        }
     }
 
     // The connection is still healthy and still serves byte-identically.
